@@ -226,6 +226,13 @@ if [[ "$QUICK" -eq 0 ]]; then
     || { echo "BENCH_disguise.json lacks disguise.* counters" >&2; exit 1; }
   echo "ok"
 
+  step "perfbench tests (end-to-end benchmark answers vs in-process replay)"
+  # The benchmark is its own cargo package (perfbench/Cargo.toml). Its
+  # tiny runs check every served answer against an in-process replay —
+  # QUERY bit for bit against UserSession — so an admission-path change
+  # that moves one decision or noise draw fails here.
+  "$CARGO" test --release --offline -q --manifest-path perfbench/Cargo.toml
+
   step "serve smoke (scripted session vs golden transcript)"
   # One scripted client session over a real socket: answered queries, a
   # budget refusal, a tracker refusal, a clean BYE and a draining

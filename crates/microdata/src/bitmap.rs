@@ -106,6 +106,29 @@ impl Bitmap {
     pub fn heap_bytes(&self) -> usize {
         self.words.len() * 8
     }
+
+    /// Number of bits set in both `self` and `other`: a popcount of the
+    /// word-wise AND over the shorter word slice, so bits past the shorter
+    /// bitmap's length count as unset. Summing stops once the count
+    /// exceeds `stop_above`, and the partial count (still `> stop_above`)
+    /// is returned; pass `usize::MAX` for the exact count.
+    pub fn and_count_ones(&self, other: &Bitmap, stop_above: usize) -> usize {
+        let n = self.words.len().min(other.words.len());
+        let mut count = 0usize;
+        // Fixed-size chunks keep the inner sum branch-free, and the early
+        // exit costs one compare per 8 words.
+        for (a, b) in self.words[..n].chunks(8).zip(other.words[..n].chunks(8)) {
+            count += a
+                .iter()
+                .zip(b)
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum::<usize>();
+            if count > stop_above {
+                break;
+            }
+        }
+        count
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +162,59 @@ mod tests {
             assert!(b.get(n - 1));
             assert!(!b.get(0) || n == 1);
         }
+    }
+
+    /// A bitmap of `len` bits, bit `i` set when `pattern(i)`.
+    fn bitmap_of(len: usize, pattern: impl Fn(usize) -> bool) -> Bitmap {
+        let mut b = Bitmap::new();
+        for i in 0..len {
+            b.push(pattern(i));
+        }
+        b
+    }
+
+    fn naive_and_count(a: &Bitmap, b: &Bitmap) -> usize {
+        (0..a.len().min(b.len()))
+            .filter(|&i| a.get(i) && b.get(i))
+            .count()
+    }
+
+    #[test]
+    fn and_count_ones_matches_a_per_bit_loop() {
+        // Every pair of lengths, equal or not; the all-ones pattern fills
+        // each bitmap's last word up to its length, so a longer bitmap's
+        // set tail must not count against a shorter one.
+        let lens = [0usize, 1, 63, 64, 65, 130];
+        let patterns: [fn(usize) -> bool; 4] =
+            [|_| true, |i| i % 3 == 0, |i| i % 2 == 1, |i| i >= 60];
+        for &la in &lens {
+            for &lb in &lens {
+                for pa in &patterns {
+                    for pb in &patterns {
+                        let (a, b) = (bitmap_of(la, pa), bitmap_of(lb, pb));
+                        let want = naive_and_count(&a, &b);
+                        assert_eq!(a.and_count_ones(&b, usize::MAX), want, "{la} & {lb}");
+                        assert_eq!(b.and_count_ones(&a, usize::MAX), want, "{lb} & {la}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn and_count_ones_stops_only_above_the_limit() {
+        // 2000 shared bits span 32 words, so the early exit has chunks to skip.
+        let (a, b) = (bitmap_of(2000, |_| true), bitmap_of(2000, |_| true));
+        for limit in [0usize, 1, 511, 512, 1999, 2000] {
+            let got = a.and_count_ones(&b, limit);
+            if limit < 2000 {
+                assert!(got > limit && got <= 2000, "limit {limit}: {got}");
+            } else {
+                assert_eq!(got, 2000);
+            }
+        }
+        let sparse = bitmap_of(2000, |i| i % 100 == 0);
+        assert_eq!(a.and_count_ones(&sparse, 20), 20, "exact when not above");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rngkit::SeedableRng;
 use tdf_mathkit::linalg::QMatrix;
 use tdf_mathkit::Rational;
 use tdf_microdata::rng::standard_normal;
-use tdf_microdata::Dataset;
+use tdf_microdata::{Bitmap, Dataset};
 
 /// The database's reply to a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,13 +83,19 @@ pub enum ControlPolicy {
     /// its set is smaller than `min_size` or shares more than
     /// `max_overlap` records with any previously *answered* query — the
     /// classic structural defence against differencing sequences.
+    ///
+    /// The history holds one word-packed bitmap per answered query set
+    /// ([`QuerySetHistory`]): ⌈n/64⌉ `u64` words for a set whose largest
+    /// row index is below `n`, whatever the set's size. The policy keeps
+    /// every answered set; the serve crate's `UserSession`, which keeps
+    /// the same history, is bounded by its budget to budget/ε sets.
     OverlapRestriction {
         /// Minimum query-set size.
         min_size: usize,
         /// Maximum permitted overlap with any answered query set.
         max_overlap: usize,
         /// Query sets already answered.
-        history: Vec<std::collections::BTreeSet<usize>>,
+        history: QuerySetHistory,
     },
 }
 
@@ -145,17 +151,13 @@ impl ControlPolicy {
                 if eval.query_set.len() < *min_size {
                     return Answer::Refused("query set below minimum size");
                 }
-                let current: std::collections::BTreeSet<usize> =
-                    eval.query_set.iter().copied().collect();
-                let too_close = history
-                    .iter()
-                    .any(|prev| prev.intersection(&current).count() > *max_overlap);
-                if too_close {
+                let current = QuerySetHistory::pack(&eval.query_set);
+                if history.overlaps(&current, *max_overlap) {
                     return Answer::Refused("query set overlaps an answered query too much");
                 }
                 match eval.value {
                     Some(v) => {
-                        history.push(current);
+                        history.record(current);
                         Answer::Exact(v)
                     }
                     None => Answer::Refused("aggregate undefined on empty query set"),
@@ -169,8 +171,48 @@ impl ControlPolicy {
         ControlPolicy::OverlapRestriction {
             min_size,
             max_overlap,
-            history: Vec::new(),
+            history: QuerySetHistory::default(),
         }
+    }
+}
+
+/// The answered query sets an overlap restriction checks new queries
+/// against, each a word-packed [`Bitmap`] over global row indices.
+///
+/// A set whose largest row index is below `n` takes ⌈n/64⌉ words, and
+/// the overlap of two sets is a popcount of their word-wise AND. Sets
+/// recorded before the population grew are shorter than later ones and
+/// compare over their common prefix: rows appended after a set was
+/// answered cannot be in it.
+#[derive(Debug, Default)]
+pub struct QuerySetHistory {
+    sets: Vec<Bitmap>,
+}
+
+impl QuerySetHistory {
+    /// Packs an ascending query set (an [`Evaluation::query_set`]) into the
+    /// bitmap [`QuerySetHistory::overlaps`] and
+    /// [`QuerySetHistory::record`] take.
+    pub fn pack(query_set: &[usize]) -> Bitmap {
+        debug_assert!(query_set.windows(2).all(|w| w[0] < w[1]), "ascending");
+        let mut bits = Bitmap::zeros(query_set.last().map_or(0, |&i| i + 1));
+        for &i in query_set {
+            bits.set(i, true);
+        }
+        bits
+    }
+
+    /// True when `current` shares more than `max_overlap` rows with some
+    /// answered set.
+    pub fn overlaps(&self, current: &Bitmap, max_overlap: usize) -> bool {
+        self.sets
+            .iter()
+            .any(|prev| prev.and_count_ones(current, max_overlap) > max_overlap)
+    }
+
+    /// Adds the set of a query that was just answered.
+    pub fn record(&mut self, current: Bitmap) {
+        self.sets.push(current);
     }
 }
 

@@ -70,6 +70,12 @@ impl DpPolicy {
         (self.budget - self.spent).max(0.0)
     }
 
+    /// True when the next answer would overspend the budget: the policy
+    /// then refuses every query, whatever its aggregate.
+    pub fn exhausted(&self) -> bool {
+        self.spent + self.epsilon_per_query > self.budget + 1e-12
+    }
+
     /// Answers one evaluated query under ε-DP.
     pub fn apply(&mut self, _data: &Dataset, query: &Query, eval: &Evaluation) -> Answer {
         self.apply_eval(query, eval)
@@ -97,7 +103,7 @@ impl DpPolicy {
     }
 
     fn answer(&mut self, query: &Query, eval: &Evaluation) -> Answer {
-        if self.spent + self.epsilon_per_query > self.budget + 1e-12 {
+        if self.exhausted() {
             return Answer::Refused("privacy budget exhausted");
         }
         let sensitivity = match &query.aggregate {

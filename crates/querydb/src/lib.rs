@@ -32,6 +32,6 @@ pub mod statdb;
 pub mod tracker;
 
 pub use ast::{Aggregate, Predicate, Query};
-pub use control::{Answer, ControlPolicy};
+pub use control::{Answer, ControlPolicy, QuerySetHistory};
 pub use engine::{evaluate, evaluate_segmented, Evaluation, QueryLimits};
 pub use statdb::StatDb;

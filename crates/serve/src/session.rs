@@ -28,7 +28,7 @@ use tdf_querydb::engine::{
     evaluate_segmented_with_limits, evaluate_with_limits, Evaluation, QueryLimits,
 };
 use tdf_querydb::parser::parse;
-use tdf_querydb::{Answer, Query};
+use tdf_querydb::{Answer, Query, QuerySetHistory};
 
 /// Admission and budget parameters shared by every session.
 #[derive(Debug, Clone)]
@@ -80,8 +80,9 @@ pub struct UserSession {
     min_query_set: usize,
     max_overlap: usize,
     max_rows: u64,
-    /// Query sets of this user's *answered* queries, for overlap checks.
-    answered: Vec<std::collections::BTreeSet<usize>>,
+    /// Query sets of this user's *answered* queries, for overlap checks:
+    /// ⌈n/64⌉ words each, at most budget/ε of them.
+    answered: QuerySetHistory,
 }
 
 impl UserSession {
@@ -93,7 +94,7 @@ impl UserSession {
             min_query_set: cfg.min_query_set,
             max_overlap: cfg.max_overlap,
             max_rows: cfg.max_rows,
-            answered: Vec::new(),
+            answered: QuerySetHistory::default(),
         }
     }
 
@@ -154,20 +155,19 @@ impl UserSession {
         if eval.query_set.len() < self.min_query_set {
             return refuse(RefusalReason::Policy, "query set below minimum size");
         }
-        let current: std::collections::BTreeSet<usize> = eval.query_set.iter().copied().collect();
-        let differencing = self
-            .answered
-            .iter()
-            .any(|prev| prev.intersection(&current).count() > self.max_overlap);
-        if differencing {
+        let current = QuerySetHistory::pack(&eval.query_set);
+        if self.answered.overlaps(&current, self.max_overlap) {
             return refuse(
                 RefusalReason::Tracker,
                 "tracker pattern detected: query set overlaps an answered query",
             );
         }
+        // Read before the answer: an exhausted policy refuses for the
+        // budget, any other refusal is about the query itself.
+        let exhausted = self.dp.exhausted();
         match self.dp.apply_eval(&query, &eval) {
             Answer::Refused(msg) => {
-                let reason = if msg.contains("budget") {
+                let reason = if exhausted {
                     RefusalReason::Budget
                 } else {
                     RefusalReason::Other
@@ -175,17 +175,17 @@ impl UserSession {
                 refuse(reason, msg)
             }
             Answer::Perturbed(v) => {
-                self.answered.push(current);
+                self.answered.record(current);
                 Response::Perturbed(v)
             }
             // DpPolicy only produces Perturbed or Refused; keep the match
             // exhaustive so a policy change here is a compile error.
             Answer::Exact(v) => {
-                self.answered.push(current);
+                self.answered.record(current);
                 Response::Exact(v)
             }
             Answer::Interval(lo, hi) => {
-                self.answered.push(current);
+                self.answered.record(current);
                 Response::Interval(lo, hi)
             }
         }
@@ -236,6 +236,33 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(s.remaining_budget(), 0.0);
+    }
+
+    #[test]
+    fn dp_refusals_are_typed_by_budget_state_not_by_message() {
+        use tdf_microdata::synth::census;
+        let d = census(200, 0xD0C7);
+        let sum = "SELECT SUM(income) FROM t WHERE age >= 0";
+        let mut s = UserSession::new(&cfg(), 5);
+        match s.answer(&d, sum) {
+            Response::Refused { reason, message } => {
+                assert_eq!(reason, RefusalReason::Other, "{message}");
+                assert_eq!(message, "no declared range for SUM attribute");
+            }
+            other => panic!("{other:?}"),
+        }
+        for _ in 0..3 {
+            let r = s.answer(&d, "SELECT COUNT(*) FROM t WHERE age >= 0");
+            assert!(matches!(r, Response::Perturbed(_)), "{r:?}");
+        }
+        // The same range-less SUM, now behind an exhausted budget.
+        match s.answer(&d, sum) {
+            Response::Refused { reason, message } => {
+                assert_eq!(reason, RefusalReason::Budget, "{message}");
+                assert_eq!(message, "privacy budget exhausted");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
