@@ -2,13 +2,18 @@
 //!
 //! These live in their own test binary because the fault plan is
 //! process-global: a plan installed here must never race the pooled
-//! regions of unrelated tests. Within the binary a mutex serialises the
-//! tests that install plans.
+//! regions of unrelated tests. Within the binary every test holds one
+//! mutex for its whole body — the "pool recovers" half included, since a
+//! concurrent test's one-shot plan would otherwise land in it.
 
 use par::{par_map_range, try_par_map_range, with_cores, with_threads, ParError};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 static PLAN: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    PLAN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// `with_threads(4)` plus a pinned 4-core measurement, so the executor
 /// enlists workers (and thus draws `par.worker_panic`) even on a
@@ -17,8 +22,8 @@ fn pooled_t4<T>(f: impl FnOnce() -> T) -> T {
     with_cores(4, || with_threads(4, f))
 }
 
+/// Runs `f` under the plan `text`; the caller holds [`serial`].
 fn with_fault_plan<T>(text: &str, f: impl FnOnce() -> T) -> T {
-    let _guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
     faultkit::set_plan(Some(faultkit::FaultPlan::parse(text).unwrap()));
     let out = f();
     faultkit::set_plan(None);
@@ -31,6 +36,7 @@ const N: usize = 5000;
 
 #[test]
 fn injected_worker_death_is_a_typed_error_and_the_pool_recovers() {
+    let _serial = serial();
     let err = with_fault_plan("par.worker_panic=1", || {
         pooled_t4(|| try_par_map_range(N, |i| i as u64))
     })
@@ -46,6 +52,7 @@ fn injected_worker_death_is_a_typed_error_and_the_pool_recovers() {
 
 #[test]
 fn plain_entry_points_panic_rather_than_abort_on_worker_death() {
+    let _serial = serial();
     let result = with_fault_plan("par.worker_panic=1", || {
         std::panic::catch_unwind(|| pooled_t4(|| par_map_range(N, |i| i)))
     });
@@ -67,6 +74,7 @@ fn plain_entry_points_panic_rather_than_abort_on_worker_death() {
 
 #[test]
 fn repeated_worker_deaths_respawn_repeatedly() {
+    let _serial = serial();
     for round in 0..3 {
         let err = with_fault_plan("par.worker_panic=1", || {
             pooled_t4(|| try_par_map_range(N, |i| i as u64))
@@ -79,12 +87,10 @@ fn repeated_worker_deaths_respawn_repeatedly() {
 
 #[test]
 fn zero_rate_worker_panic_plan_is_bit_identical_to_no_plan() {
+    let _serial = serial();
     let work = || pooled_t4(|| par_map_range(N, |i| (i as f64).sqrt().to_bits()));
-    let baseline = {
-        let _guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-        faultkit::set_plan(None);
-        work()
-    };
+    faultkit::set_plan(None);
+    let baseline = work();
     let gated = with_fault_plan("par.worker_panic=7@0", work);
     assert_eq!(baseline, gated);
 }
