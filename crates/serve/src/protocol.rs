@@ -127,6 +127,18 @@ impl RefusalReason {
             RefusalReason::Draining => "draining",
         }
     }
+
+    /// The server's `serve.refused.<label>` counter for this reason.
+    pub fn counter(self) -> &'static str {
+        match self {
+            RefusalReason::Other => "serve.refused.other",
+            RefusalReason::Budget => "serve.refused.budget",
+            RefusalReason::Deadline => "serve.refused.deadline",
+            RefusalReason::Tracker => "serve.refused.tracker",
+            RefusalReason::Policy => "serve.refused.policy",
+            RefusalReason::Draining => "serve.refused.draining",
+        }
+    }
 }
 
 /// A server-to-client frame.
@@ -432,6 +444,17 @@ mod tests {
         round_trip_request(Request::Seal { user: 11 });
         round_trip_request(Request::Disguise { user: 6 });
         round_trip_request(Request::Restore { user: u64::MAX });
+    }
+
+    #[test]
+    fn refusal_counters_are_the_prefixed_labels() {
+        for code in 0..=5 {
+            let reason = RefusalReason::from_wire(code).unwrap();
+            assert_eq!(
+                reason.counter(),
+                format!("serve.refused.{}", reason.label())
+            );
+        }
     }
 
     #[test]

@@ -27,9 +27,14 @@
 //! written whole; requests arriving after the flag flips are refused
 //! with [`RefusalReason::Draining`].
 //!
-//! Fault site: `serve.partial_response` severs the connection after
-//! writing half a response frame — the injection the shutdown tests use
-//! to prove clients can never mistake a cut write for an answer.
+//! **Requests.** Every opcode takes one pipeline: decode, admit (the one
+//! draining check), execute, count under the opcode's static names
+//! (`OpCounters`), encode, write. BYE skips admission and counting.
+//! Fault site: `serve.partial_response` cuts that one write halfway and
+//! severs the socket, for any opcode, so a client can never mistake a
+//! cut write for an answer. Execute runs before the write, so a cut
+//! APPEND, SEAL, DISGUISE or RESTORE is still committed, exactly once: a
+//! retry sees it through a typed refusal or the row count.
 //!
 //! **PIR.** The server also holds a seed-deterministic PIR record store;
 //! `PIR_FETCH` requests from any number of connections funnel through a
@@ -46,7 +51,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use tdf_microdata::synth::{patients, PatientConfig};
 use tdf_microdata::{SegmentedDataset, Value};
@@ -184,9 +189,7 @@ impl Shared {
     fn session_for(&self, user: u64) -> Arc<Mutex<UserSession>> {
         let mut state = user;
         let shard = (rngkit::splitmix64(&mut state) as usize) & (USER_SHARDS - 1);
-        let mut users = self.users[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut users = lock(&self.users[shard]);
         Arc::clone(users.entry(user).or_insert_with(|| {
             obs::count("serve.sessions", 1);
             Arc::new(Mutex::new(UserSession::new(&self.session_cfg, user)))
@@ -230,11 +233,12 @@ impl Server {
         // table is segmented from the first query — and evaluation stays
         // bit-identical to the old monolithic path (the golden transcript
         // pins this).
-        let initial = patients(&PatientConfig {
+        let population = PatientConfig {
             n: cfg.rows,
             seed: cfg.seed,
             ..Default::default()
-        });
+        };
+        let initial = patients(&population);
         // The disguise ledger: the same synthetic population, owner-
         // labelled, with a WAL so disguises are atomic across crashes.
         // A configured journal path makes them survive restarts; the
@@ -252,14 +256,7 @@ impl Server {
                 (p.clone(), Some(p))
             }
         };
-        let ledger = tdf_disguise::owned_patients(
-            &PatientConfig {
-                n: cfg.rows,
-                seed: cfg.seed,
-                ..Default::default()
-            },
-            cfg.disguise_users.max(1),
-        );
+        let ledger = tdf_disguise::owned_patients(&population, cfg.disguise_users.max(1));
         let (disguise, _recovery) = tdf_disguise::DisguiseEngine::open(
             &wal_path,
             ledger,
@@ -342,11 +339,7 @@ impl Server {
         // Unblock workers parked in a read. Only the read half is severed:
         // a response currently being written still goes out whole.
         {
-            let conns = self
-                .shared
-                .conns
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let conns = lock(&self.shared.conns);
             for stream in conns.values() {
                 let _ = stream.shutdown(std::net::Shutdown::Read);
             }
@@ -378,23 +371,16 @@ fn compactor_loop(shared: &Shared) {
     let mut seen = 0u64;
     loop {
         {
-            let mut sealed = pending
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut sealed = lock(pending);
             while *sealed == seen && !shared.draining.load(Ordering::Acquire) {
-                sealed = cv
-                    .wait(sealed)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                sealed = cv.wait(sealed).unwrap_or_else(PoisonError::into_inner);
             }
             if shared.draining.load(Ordering::Acquire) {
                 return;
             }
             seen = *sealed;
         }
-        let mut data = shared
-            .data
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut data = shared.data.write().unwrap_or_else(PoisonError::into_inner);
         match data.compact(shared.compact_min) {
             Ok(report) if report.merged_any() => {
                 obs::count("serve.compactions", report.runs.len() as u64);
@@ -415,10 +401,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             // admitted past this point.
             return;
         }
-        let mut queue = shared
-            .queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut queue = lock(&shared.queue);
         queue.push_back(stream);
         obs::gauge_max("serve.queue_depth", queue.len() as u64);
         drop(queue);
@@ -429,10 +412,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 fn worker_loop(shared: &Shared) {
     loop {
         let stream = {
-            let mut queue = shared
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut queue = lock(&shared.queue);
             loop {
                 if let Some(stream) = queue.pop_front() {
                     break stream;
@@ -443,7 +423,7 @@ fn worker_loop(shared: &Shared) {
                 queue = shared
                     .queue_cv
                     .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         obs::count("serve.connections", 1);
@@ -461,25 +441,78 @@ fn worker_loop(shared: &Shared) {
                 let _ =
                     stream.set_read_timeout(Some(Duration::from_millis(shared.read_deadline_ms)));
             }
-            shared
-                .conns
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(conn_id, clone);
+            lock(&shared.conns).insert(conn_id, clone);
         }
         // Connection errors (disconnects, malformed frames, injected
         // severs) end that connection only; the worker lives on.
         let _ = serve_connection(stream, shared);
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&conn_id);
+        lock(&shared.conns).remove(&conn_id);
+    }
+}
+
+/// The static counter names of one opcode. The pipeline counts
+/// `requests` for every admitted-or-refused request, then exactly one
+/// outcome: the refusal's own `serve.refused.<label>`, `errors` for an
+/// error response, or every name in `answers` for an answer.
+struct OpCounters {
+    requests: &'static str,
+    errors: &'static str,
+    answers: &'static [&'static str],
+}
+
+impl OpCounters {
+    /// `None` for BYE, which passes no admission and counts nothing.
+    fn of(request: &Request) -> Option<&'static OpCounters> {
+        Some(match request {
+            Request::Bye { .. } => return None,
+            Request::Query { .. } => &OpCounters {
+                requests: "serve.requests",
+                errors: "serve.parse_errors",
+                answers: &["serve.answers"],
+            },
+            // PIR keeps a counter family of its own: its answers are
+            // records, not aggregates.
+            Request::PirFetch { .. } => &OpCounters {
+                requests: "serve.pir.requests",
+                errors: "serve.pir.range_errors",
+                answers: &["serve.pir.answers"],
+            },
+            Request::Append { .. } => &OpCounters {
+                requests: "serve.requests",
+                errors: "serve.append_errors",
+                answers: &["serve.appends", "serve.answers"],
+            },
+            // SEAL cannot fail; it shares APPEND's ingest error counter.
+            Request::Seal { .. } => &OpCounters {
+                requests: "serve.requests",
+                errors: "serve.append_errors",
+                answers: &["serve.seals", "serve.answers"],
+            },
+            Request::Disguise { .. } => &OpCounters {
+                requests: "serve.requests",
+                errors: "serve.disguise_errors",
+                answers: &["serve.disguises", "serve.answers"],
+            },
+            Request::Restore { .. } => &OpCounters {
+                requests: "serve.requests",
+                errors: "serve.disguise_errors",
+                answers: &["serve.restores", "serve.answers"],
+            },
+        })
+    }
+
+    fn count_outcome(&self, response: &Response) {
+        match response {
+            Response::Refused { reason, .. } => obs::count(reason.counter(), 1),
+            Response::Error(_) => obs::count(self.errors, 1),
+            _ => self.answers.iter().for_each(|name| obs::count(name, 1)),
+        }
     }
 }
 
 /// Serves one connection to completion: request frames in, response
-/// frames out, until BYE, EOF or an I/O error.
+/// frames out, until BYE, EOF or an I/O error. Every request takes the
+/// one pipeline decode → admit → execute → count → encode → write.
 fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     loop {
         let request = match read_request(&mut stream) {
@@ -505,211 +538,124 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             }
         };
         let started = Instant::now();
-        match request {
-            Request::Bye { .. } => {
-                write_frame(&mut stream, &encode_response(&Response::Bye))?;
-                return Ok(());
-            }
-            Request::Query { user, sql } => {
-                obs::count("serve.requests", 1);
+        let response = match OpCounters::of(&request) {
+            None => execute(shared, request),
+            Some(counters) => {
+                obs::count(counters.requests, 1);
                 let response = if shared.draining.load(Ordering::Acquire) {
                     Response::Refused {
                         reason: RefusalReason::Draining,
                         message: "server is draining for shutdown".to_owned(),
                     }
                 } else {
-                    let session = shared.session_for(user);
-                    let mut session = session
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let data = shared
-                        .data
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    session.answer_segmented(&data, &sql)
+                    execute(shared, request)
                 };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.parse_errors", 1),
-                    _ => obs::count("serve.answers", 1),
-                }
-                let frame = encode_response(&response);
-                if faultkit::fire("serve.partial_response") {
-                    // Injected fault: the server dies mid-write. Send a
-                    // strict prefix of the frame and sever the socket —
-                    // the framing guarantees the client sees an I/O
-                    // error, never a shorter answer that still parses.
-                    obs::count("serve.faults.partial_response", 1);
-                    let cut = (frame.len() / 2).max(1);
-                    let _ = write_frame(&mut stream, &frame[..cut]);
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return Ok(());
-                }
-                write_frame(&mut stream, &frame)?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
+                counters.count_outcome(&response);
+                response
             }
-            Request::PirFetch { user: _, index } => {
-                obs::count("serve.pir.requests", 1);
-                // PIR admission charges no ε: the user-privacy dimension
-                // protects *which* record is read, not an aggregate. The
-                // batcher coalesces concurrent fetches into fused sweeps.
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else if index >= shared.pir.len() as u64 {
-                    Response::Error(format!(
-                        "record index {index} out of range: PIR store has {} records",
-                        shared.pir.len()
-                    ))
-                } else {
-                    Response::Record(shared.batcher.fetch(&shared.pir, index as usize))
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.pir.range_errors", 1),
-                    _ => obs::count("serve.pir.answers", 1),
+        };
+        let frame = encode_response(&response);
+        if faultkit::fire("serve.partial_response") {
+            // Injected fault: the server dies mid-write. Send a strict
+            // prefix of the frame and sever the socket — the framing
+            // guarantees the client sees an I/O error, never a shorter
+            // answer that still parses. Execute already ran, so a cut
+            // mutation stays committed.
+            obs::count("serve.faults.partial_response", 1);
+            // Half the frame is a strict prefix: empty for BYE's one byte.
+            let cut = frame.len() / 2;
+            let _ = write_frame(&mut stream, &frame[..cut]);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+            return Ok(());
+        }
+        write_frame(&mut stream, &frame)?;
+        if matches!(response, Response::Bye) {
+            return Ok(());
+        }
+        obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
+    }
+}
+
+/// The execute step: what one admitted request does, as its response.
+fn execute(shared: &Shared, request: Request) -> Response {
+    match request {
+        Request::Bye { .. } => Response::Bye,
+        Request::Query { user, sql } => {
+            let session = shared.session_for(user);
+            let mut session = lock(&session);
+            let data = shared.data.read().unwrap_or_else(PoisonError::into_inner);
+            session.answer_segmented(&data, &sql)
+        }
+        // PIR admission charges no ε: the user-privacy dimension protects
+        // *which* record is read, not an aggregate. The batcher coalesces
+        // concurrent fetches into fused sweeps.
+        Request::PirFetch { index, .. } if index >= shared.pir.len() as u64 => {
+            Response::Error(format!(
+                "record index {index} out of range: PIR store has {} records",
+                shared.pir.len()
+            ))
+        }
+        Request::PirFetch { index, .. } => {
+            Response::Record(shared.batcher.fetch(&shared.pir, index as usize))
+        }
+        Request::Append { count, .. } if count > MAX_APPEND => Response::Error(format!(
+            "append of {count} rows exceeds the per-request cap of {MAX_APPEND}"
+        )),
+        Request::Append { count, .. } => {
+            let mut data = shared.data.write().unwrap_or_else(PoisonError::into_inner);
+            let start = data.num_rows() as u64;
+            match (0..u64::from(count))
+                .try_for_each(|i| data.push_row(synth_row(shared.seed, start + i)))
+            {
+                Ok(()) => {
+                    obs::count("serve.append_rows", u64::from(count));
+                    Response::Exact(data.num_rows() as f64)
                 }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
-            Request::Append { user: _, count } => {
-                obs::count("serve.requests", 1);
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else if count > MAX_APPEND {
-                    Response::Error(format!(
-                        "append of {count} rows exceeds the per-request cap of {MAX_APPEND}"
-                    ))
-                } else {
-                    let mut data = shared
-                        .data
-                        .write()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let start = data.num_rows() as u64;
-                    let appended = (0..u64::from(count))
-                        .try_for_each(|i| data.push_row(synth_row(shared.seed, start + i)));
-                    match appended {
-                        Ok(()) => {
-                            obs::count("serve.appends", 1);
-                            obs::count("serve.append_rows", u64::from(count));
-                            Response::Exact(data.num_rows() as f64)
-                        }
-                        Err(e) => Response::Error(format!("append failed: {e}")),
-                    }
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.append_errors", 1),
-                    _ => obs::count("serve.answers", 1),
-                }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
-            Request::Seal { user: _ } => {
-                obs::count("serve.requests", 1);
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else {
-                    let mut data = shared
-                        .data
-                        .write()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // Sealing an empty tail is a no-op, not an error: the
-                    // answer is the sealed-segment count either way.
-                    data.seal();
-                    obs::count("serve.seals", 1);
-                    let segments = data.num_segments() as f64;
-                    drop(data);
-                    if shared.compact_min > 0 {
-                        let (pending, cv) = &shared.compact_signal;
-                        *pending
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-                        cv.notify_one();
-                    }
-                    Response::Exact(segments)
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    _ => obs::count("serve.answers", 1),
-                }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
-            }
-            Request::Disguise { user } | Request::Restore { user } => {
-                let is_disguise = matches!(request, Request::Disguise { .. });
-                obs::count("serve.requests", 1);
-                let response = if shared.draining.load(Ordering::Acquire) {
-                    Response::Refused {
-                        reason: RefusalReason::Draining,
-                        message: "server is draining for shutdown".to_owned(),
-                    }
-                } else {
-                    let mut engine = shared
-                        .disguise
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let result = if is_disguise {
-                        engine.disguise(user)
-                    } else {
-                        engine.restore(user)
-                    };
-                    match result {
-                        // The answer is the number of rows re-owned or
-                        // returned — the client's receipt.
-                        Ok(outcome) => Response::Exact(outcome.rows as f64),
-                        // Wrong-state requests are policy refusals, typed
-                        // on the wire like any other admission refusal.
-                        Err(
-                            e @ (tdf_disguise::Error::AlreadyDisguised(_)
-                            | tdf_disguise::Error::NotDisguised(_)
-                            | tdf_disguise::Error::NoRows(_)),
-                        ) => Response::Refused {
-                            reason: RefusalReason::Policy,
-                            message: e.to_string(),
-                        },
-                        // Crash-stop (exhausted fault budget) and journal
-                        // failures are server-side errors; the engine
-                        // refuses further transactions until recovery.
-                        Err(e) => Response::Error(format!("disguise engine: {e}")),
-                    }
-                };
-                match &response {
-                    Response::Refused { reason, .. } => {
-                        obs::count(&format!("serve.refused.{}", reason.label()), 1);
-                    }
-                    Response::Error(_) => obs::count("serve.disguise_errors", 1),
-                    _ => {
-                        obs::count(
-                            if is_disguise {
-                                "serve.disguises"
-                            } else {
-                                "serve.restores"
-                            },
-                            1,
-                        );
-                        obs::count("serve.answers", 1);
-                    }
-                }
-                write_frame(&mut stream, &encode_response(&response))?;
-                obs::observe("serve.request_ns", started.elapsed().as_nanos() as u64);
+                Err(e) => Response::Error(format!("append failed: {e}")),
             }
         }
+        Request::Seal { .. } => {
+            let mut data = shared.data.write().unwrap_or_else(PoisonError::into_inner);
+            // Sealing an empty tail is a no-op, not an error: the answer
+            // is the sealed-segment count either way.
+            data.seal();
+            let segments = data.num_segments() as f64;
+            drop(data);
+            if shared.compact_min > 0 {
+                let (pending, cv) = &shared.compact_signal;
+                *lock(pending) += 1;
+                cv.notify_one();
+            }
+            Response::Exact(segments)
+        }
+        Request::Disguise { user } => ledger_response(lock(&shared.disguise).disguise(user)),
+        Request::Restore { user } => ledger_response(lock(&shared.disguise).restore(user)),
     }
+}
+
+fn ledger_response(result: tdf_disguise::Result<tdf_disguise::DisguiseOutcome>) -> Response {
+    match result {
+        // The answer is the number of rows re-owned or returned — the
+        // client's receipt.
+        Ok(outcome) => Response::Exact(outcome.rows as f64),
+        // Wrong-state requests are policy refusals, typed on the wire
+        // like any other admission refusal.
+        Err(
+            e @ (tdf_disguise::Error::AlreadyDisguised(_)
+            | tdf_disguise::Error::NotDisguised(_)
+            | tdf_disguise::Error::NoRows(_)),
+        ) => Response::Refused {
+            reason: RefusalReason::Policy,
+            message: e.to_string(),
+        },
+        // Crash-stop (exhausted fault budget) and journal failures are
+        // server-side errors; the engine refuses further transactions
+        // until recovery.
+        Err(e) => Response::Error(format!("disguise engine: {e}")),
+    }
+}
+
+/// Locks `mutex`, recovering the guard if a previous holder panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
