@@ -22,13 +22,11 @@
 //! the same multiset of answers and refusals in any interleaving.
 
 use crate::protocol::{RefusalReason, Response};
-use tdf_microdata::{Dataset, Error, SegmentedDataset};
+use tdf_microdata::{Error, SegmentedDataset};
 use tdf_querydb::dp::DpPolicy;
-use tdf_querydb::engine::{
-    evaluate_segmented_with_limits, evaluate_with_limits, Evaluation, QueryLimits,
-};
+use tdf_querydb::engine::{evaluate_segmented_with_limits, QueryLimits};
 use tdf_querydb::parser::parse;
-use tdf_querydb::{Answer, Query, QuerySetHistory};
+use tdf_querydb::{Answer, QuerySetHistory};
 
 /// Admission and budget parameters shared by every session.
 #[derive(Debug, Clone)]
@@ -108,41 +106,21 @@ impl UserSession {
         self.dp.remaining()
     }
 
-    /// Runs one query through the full admission path against an
-    /// in-memory dataset.
-    pub fn answer(&mut self, data: &Dataset, sql: &str) -> Response {
-        self.answer_with(sql, |query, limits| {
-            evaluate_with_limits(data, query, limits)
-        })
-    }
-
     /// Runs one query through the full admission path against a
-    /// segmented (possibly out-of-core) dataset. The admission outcome
-    /// and the noise stream are identical to [`UserSession::answer`] on
-    /// the materialized table: segmented evaluation is bit-exact.
+    /// segmented (possibly out-of-core) dataset: parse, evaluate under
+    /// the session's limits, size floor, overlap (tracker) restriction,
+    /// then the ε-budgeted DP answer.
     pub fn answer_segmented(&mut self, data: &SegmentedDataset, sql: &str) -> Response {
-        self.answer_with(sql, |query, limits| {
-            evaluate_segmented_with_limits(data, query, limits)
-        })
-    }
-
-    /// The admission path over any exact evaluator: parse, evaluate
-    /// under the session's limits, size floor, overlap (tracker)
-    /// restriction, then the ε-budgeted DP answer.
-    fn answer_with<F>(&mut self, sql: &str, eval_fn: F) -> Response
-    where
-        F: FnOnce(&Query, &QueryLimits) -> Result<Evaluation, Error>,
-    {
         let query = match parse(sql) {
             Ok(q) => q,
             Err(e) => return Response::Error(format!("parse error: {e}")),
         };
-        let limits = if self.max_rows == 0 {
-            QueryLimits::unlimited()
-        } else {
-            QueryLimits::with_max_rows(self.max_rows)
-        };
-        let eval = match eval_fn(&query, &limits.tightened(QueryLimits::ambient())) {
+        let limits = match self.max_rows {
+            0 => QueryLimits::unlimited(),
+            n => QueryLimits::with_max_rows(n),
+        }
+        .tightened(QueryLimits::ambient());
+        let eval = match evaluate_segmented_with_limits(data, &query, &limits) {
             Ok(eval) => eval,
             Err(Error::ResourceExhausted(_)) => {
                 return refuse(
@@ -203,13 +181,19 @@ fn refuse(reason: RefusalReason, message: &str) -> Response {
 mod tests {
     use super::*;
     use tdf_microdata::synth::{patients, PatientConfig};
+    use tdf_microdata::Dataset;
 
-    fn data() -> Dataset {
+    fn patients_200() -> Dataset {
         patients(&PatientConfig {
             n: 200,
             seed: 0xD0C7,
             ..Default::default()
         })
+    }
+
+    /// The 200-patient table as one resident segment.
+    fn data() -> SegmentedDataset {
+        SegmentedDataset::from_dataset(&patients_200(), 200)
     }
 
     fn cfg() -> SessionConfig {
@@ -228,10 +212,10 @@ mod tests {
         let d = data();
         let mut s = UserSession::new(&cfg(), 1);
         for _ in 0..3 {
-            let r = s.answer(&d, "SELECT COUNT(*) FROM t WHERE height >= 150");
+            let r = s.answer_segmented(&d, "SELECT COUNT(*) FROM t WHERE height >= 150");
             assert!(matches!(r, Response::Perturbed(_)), "{r:?}");
         }
-        match s.answer(&d, "SELECT COUNT(*) FROM t WHERE height >= 150") {
+        match s.answer_segmented(&d, "SELECT COUNT(*) FROM t WHERE height >= 150") {
             Response::Refused { reason, .. } => assert_eq!(reason, RefusalReason::Budget),
             other => panic!("{other:?}"),
         }
@@ -241,10 +225,10 @@ mod tests {
     #[test]
     fn dp_refusals_are_typed_by_budget_state_not_by_message() {
         use tdf_microdata::synth::census;
-        let d = census(200, 0xD0C7);
+        let d = SegmentedDataset::from_dataset(&census(200, 0xD0C7), 200);
         let sum = "SELECT SUM(income) FROM t WHERE age >= 0";
         let mut s = UserSession::new(&cfg(), 5);
-        match s.answer(&d, sum) {
+        match s.answer_segmented(&d, sum) {
             Response::Refused { reason, message } => {
                 assert_eq!(reason, RefusalReason::Other, "{message}");
                 assert_eq!(message, "no declared range for SUM attribute");
@@ -252,11 +236,11 @@ mod tests {
             other => panic!("{other:?}"),
         }
         for _ in 0..3 {
-            let r = s.answer(&d, "SELECT COUNT(*) FROM t WHERE age >= 0");
+            let r = s.answer_segmented(&d, "SELECT COUNT(*) FROM t WHERE age >= 0");
             assert!(matches!(r, Response::Perturbed(_)), "{r:?}");
         }
         // The same range-less SUM, now behind an exhausted budget.
-        match s.answer(&d, sum) {
+        match s.answer_segmented(&d, sum) {
             Response::Refused { reason, message } => {
                 assert_eq!(reason, RefusalReason::Budget, "{message}");
                 assert_eq!(message, "privacy budget exhausted");
@@ -271,10 +255,10 @@ mod tests {
         let mut c = cfg();
         c.max_overlap = 10;
         let mut s = UserSession::new(&c, 2);
-        let first = s.answer(&d, "SELECT AVG(weight) FROM t WHERE height >= 150");
+        let first = s.answer_segmented(&d, "SELECT AVG(weight) FROM t WHERE height >= 150");
         assert!(matches!(first, Response::Perturbed(_)), "{first:?}");
         // Nearly the same query set: overlap far above 10.
-        match s.answer(&d, "SELECT AVG(weight) FROM t WHERE height >= 151") {
+        match s.answer_segmented(&d, "SELECT AVG(weight) FROM t WHERE height >= 151") {
             Response::Refused { reason, .. } => assert_eq!(reason, RefusalReason::Tracker),
             other => panic!("{other:?}"),
         }
@@ -284,7 +268,7 @@ mod tests {
     fn tiny_query_sets_are_refused_by_policy() {
         let d = data();
         let mut s = UserSession::new(&cfg(), 3);
-        match s.answer(&d, "SELECT COUNT(*) FROM t WHERE height >= 10000") {
+        match s.answer_segmented(&d, "SELECT COUNT(*) FROM t WHERE height >= 10000") {
             Response::Refused { reason, .. } => assert_eq!(reason, RefusalReason::Policy),
             other => panic!("{other:?}"),
         }
@@ -294,21 +278,24 @@ mod tests {
     fn parse_errors_are_errors_not_refusals() {
         let d = data();
         let mut s = UserSession::new(&cfg(), 4);
-        assert!(matches!(s.answer(&d, "SELEKT nope"), Response::Error(_)));
+        assert!(matches!(
+            s.answer_segmented(&d, "SELEKT nope"),
+            Response::Error(_)
+        ));
     }
 
     #[test]
-    fn segmented_answers_match_monolithic_bit_for_bit() {
-        let d = data();
-        let seg = SegmentedDataset::from_dataset(&d, 64);
-        seg.spill_all();
+    fn spilled_small_segments_answer_like_one_resident_segment() {
+        let one = data();
+        let spilled = SegmentedDataset::from_dataset(&patients_200(), 64);
+        spilled.spill_all();
         for sql in [
             "SELECT COUNT(*) FROM t WHERE height >= 150",
             "SELECT AVG(weight) FROM t WHERE height < 180",
             "SELECT SUM(blood_pressure) FROM t WHERE weight >= 60",
         ] {
-            let a = UserSession::new(&cfg(), 9).answer(&d, sql);
-            let b = UserSession::new(&cfg(), 9).answer_segmented(&seg, sql);
+            let a = UserSession::new(&cfg(), 9).answer_segmented(&one, sql);
+            let b = UserSession::new(&cfg(), 9).answer_segmented(&spilled, sql);
             assert_eq!(a, b, "{sql}: out-of-core admission must not drift");
         }
     }
@@ -317,10 +304,10 @@ mod tests {
     fn noise_streams_are_deterministic_per_user() {
         let d = data();
         let sql = "SELECT COUNT(*) FROM t WHERE height >= 150";
-        let a = UserSession::new(&cfg(), 9).answer(&d, sql);
-        let b = UserSession::new(&cfg(), 9).answer(&d, sql);
+        let a = UserSession::new(&cfg(), 9).answer_segmented(&d, sql);
+        let b = UserSession::new(&cfg(), 9).answer_segmented(&d, sql);
         assert_eq!(a, b, "same user, same seed, same stream");
-        let c = UserSession::new(&cfg(), 10).answer(&d, sql);
+        let c = UserSession::new(&cfg(), 10).answer_segmented(&d, sql);
         assert_ne!(a, c, "different users draw different noise");
     }
 }
