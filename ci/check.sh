@@ -115,7 +115,7 @@ step "fault matrix (TDF_FAULTS env path; see tests/fault_matrix.rs)"
 # end-to-end through the env parser), and live pir / par plans must
 # degrade the matrix pipeline to masked faults, refusals and typed
 # errors — never wrong answers.
-ZERO_RATE="pir.server_drop=4@0,pir.corrupt_word=4@0,par.worker_panic=2@0,querydb.deadline=5@0,smc.corrupt_word=3@0,segment.spill=4@0,segment.reload=4@0,segment.compact=4@0,segment.evict=4@0,disguise.wal_append=4@0,disguise.apply=4@0,disguise.restore=4@0"
+ZERO_RATE="pir.server_drop=4@0,pir.corrupt_word=4@0,par.worker_panic=2@0,querydb.deadline=5@0,smc.corrupt_word=3@0,segment.spill=4@0,segment.reload=4@0,segment.compact=4@0,segment.evict=4@0,disguise.wal_append=4@0,disguise.apply=4@0,disguise.restore=4@0,pir.batch_drop=4@0,serve.partial_response=4@0"
 PIR_FAULTS="pir.server_drop=0@0.3,pir.corrupt_word=0@0.2"
 PAR_FAULTS="par.worker_panic=0@0.05"
 SEG_FAULTS="segment.spill=0@0.4,segment.reload=0@0.25,segment.compact=0@0.3,segment.evict=0@0.3"
