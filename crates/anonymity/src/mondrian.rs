@@ -113,7 +113,6 @@ fn split(
     for (j, col_cells) in cells.iter().enumerate() {
         let (lo, hi) = par::par_chunks_reduce(
             &members,
-            0,
             |chunk| {
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;

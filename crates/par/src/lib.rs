@@ -10,10 +10,10 @@
 //!
 //! Three rules enforce it:
 //!
-//! 1. **Fixed chunk boundaries.** Work is split into chunks whose
-//!    boundaries depend only on the input length (or an explicit `chunk`
-//!    argument) — never on how many threads happen to run, and never on
-//!    which thread grabs which chunk.
+//! 1. **Fixed chunk boundaries.** Work is split into at most 64 chunks
+//!    whose boundaries depend only on the input length — never on how
+//!    many threads happen to run, and never on which thread grabs which
+//!    chunk.
 //! 2. **Order-preserving merge.** Chunk results are combined on the
 //!    calling thread in chunk order (a left fold), so floating-point
 //!    reductions associate identically every run.
@@ -35,13 +35,18 @@
 //! reports regenerate bit-identically under `TDF_THREADS=1` and
 //! `TDF_THREADS=4`.
 //!
+//! Regions run on one fallible core. The plain entry points re-raise a
+//! panic in the region body on the caller — with its original payload
+//! when the caller ran the panicking chunk; [`try_par_map_range`]
+//! returns it as a [`ParError`].
+//!
 //! ```
 //! let squares = par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! let sum = par::par_index_reduce(1000, 0, |r| r.map(|i| i as f64).sum::<f64>(), |a, b| a + b);
+//! let sum = par::par_index_reduce(1000, |r| r.map(|i| i as f64).sum::<f64>(), |a, b| a + b);
 //! let serial = par::with_threads(1, || {
-//!     par::par_index_reduce(1000, 0, |r| r.map(|i| i as f64).sum::<f64>(), |a, b| a + b)
+//!     par::par_index_reduce(1000, |r| r.map(|i| i as f64).sum::<f64>(), |a, b| a + b)
 //! });
 //! assert_eq!(sum, serial); // bit-identical, not just approximately equal
 //! ```
@@ -51,10 +56,12 @@ mod executor;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
-/// Why a `try_par_*` region failed. Covers both the caller's own
-/// invocation of the body and pooled workers (which may die entirely —
+use executor::RegionError;
+
+/// Why a [`try_par_map_range`] region failed. Covers both the caller's
+/// own invocation of the body and pooled workers (which may die entirely —
 /// see `executor.rs`; the executor respawns them, and the region that
 /// lost a worker reports `WorkerPanicked` instead of aborting the
 /// process).
@@ -90,19 +97,17 @@ impl std::fmt::Display for ParError {
 impl std::error::Error for ParError {}
 
 impl ParError {
-    fn from_payload(payload: &(dyn std::any::Any + Send)) -> Self {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_owned());
-        ParError::RegionPanicked { message }
-    }
-
-    fn from_region(e: executor::RegionError) -> Self {
+    fn from_region(e: RegionError) -> Self {
         match e {
-            executor::RegionError::Caller(payload) => Self::from_payload(payload.as_ref()),
-            executor::RegionError::Worker => ParError::WorkerPanicked,
+            RegionError::Caller(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                ParError::RegionPanicked { message }
+            }
+            RegionError::Worker => ParError::WorkerPanicked,
         }
     }
 }
@@ -110,11 +115,11 @@ impl ParError {
 /// The plain (panicking) entry points' view of a region result: re-raise
 /// the caller's own panic with its original payload, turn a worker loss
 /// into the historical pool panic message.
-fn complete_or_propagate(result: Result<(), executor::RegionError>) {
+fn propagate<T>(result: Result<T, RegionError>) -> T {
     match result {
-        Ok(()) => {}
-        Err(executor::RegionError::Caller(payload)) => std::panic::resume_unwind(payload),
-        Err(executor::RegionError::Worker) => {
+        Ok(value) => value,
+        Err(RegionError::Caller(payload)) => std::panic::resume_unwind(payload),
+        Err(RegionError::Worker) => {
             panic!("tdf-par: a pooled worker panicked while executing a parallel region")
         }
     }
@@ -130,18 +135,7 @@ pub const MAX_THREADS: usize = 64;
 /// §P1 — deep recursion levels scan regions of a few dozen records each).
 /// Because chunk boundaries and fold order are unchanged, the inline path
 /// produces bit-identical results; only the scheduling differs.
-/// Overridable via `TDF_PAR_THRESHOLD` (`0` disables the fallback).
 pub const SEQUENTIAL_THRESHOLD: usize = 1024;
-
-fn sequential_threshold() -> usize {
-    static PARSED: OnceLock<usize> = OnceLock::new();
-    *PARSED.get_or_init(|| {
-        std::env::var("TDF_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(SEQUENTIAL_THRESHOLD)
-    })
-}
 
 thread_local! {
     static OVERRIDE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -246,48 +240,48 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Chunk size for an input of `len` items: an explicit request wins,
-/// otherwise at most 64 chunks. A pure function of `(len, chunk)` — this
-/// is what makes reductions thread-count-invariant.
-fn chunk_size(len: usize, chunk: usize) -> usize {
-    if chunk > 0 {
-        chunk
-    } else {
-        len.div_ceil(64).max(1)
-    }
+/// Chunk size for an input of `len` items: at most 64 chunks. A pure
+/// function of the length — this is what makes reductions
+/// thread-count-invariant.
+fn chunk_size(len: usize) -> usize {
+    len.div_ceil(64).max(1)
 }
 
-/// Runs `process(chunk_id, index_range)` for every chunk of `0..n`,
-/// serially in chunk order or sharded across the executor — the set of
-/// `(chunk_id, range)` pairs is identical either way, and chunk results
-/// are merged in chunk order by the callers, so which participant
-/// executes a chunk never affects the result.
+/// Participants requested for an element scan over `n` items: the
+/// effective thread count, or 1 (inline, counted as a sequential
+/// fallback) when `n` is below [`SEQUENTIAL_THRESHOLD`].
+fn scan_threads(n: usize) -> usize {
+    if n < SEQUENTIAL_THRESHOLD {
+        if n > 0 {
+            obs::count("par.sequential_fallback", 1);
+        }
+        return 1;
+    }
+    effective_threads()
+}
+
+/// The region core under every map and every pooled reduce: runs
+/// `process` over `0..n`, split into `size`-wide chunk ranges sharded
+/// across the executor, or inline as one `0..n` call when fewer than two
+/// of the `threads` participants would have a chunk to run. `process`
+/// only ever fills independent per-index slots, so the split never
+/// affects the result. A panic on the calling thread comes back as
+/// [`RegionError::Caller`] on both paths.
 fn run_chunked(
     n: usize,
-    chunk: usize,
-    process: &(dyn Fn(usize, Range<usize>) + Sync),
-) -> Result<(), executor::RegionError> {
-    if n == 0 {
-        return Ok(());
-    }
-    let size = chunk_size(n, chunk);
+    size: usize,
+    threads: usize,
+    process: impl Fn(Range<usize>) + Sync,
+) -> Result<(), RegionError> {
     let num_chunks = n.div_ceil(size);
-    let range_of = |c: usize| c * size..((c + 1) * size).min(n);
-    let threads = if n < sequential_threshold() {
-        1
-    } else {
-        effective_threads().min(num_chunks)
-    };
-    // The packed chunk deques index chunks as u32; a region that large
-    // (> 4 billion chunks) is degenerate anyway — run it serially.
-    if threads <= 1 || num_chunks > u32::MAX as usize {
-        for c in 0..num_chunks {
-            process(c, range_of(c));
-        }
-        return Ok(());
+    let threads = threads.min(num_chunks);
+    if threads <= 1 {
+        return catch_unwind(AssertUnwindSafe(|| process(0..n))).map_err(RegionError::Caller);
     }
     obs::count("par.tasks_dispatched", num_chunks as u64);
-    executor::run_region(num_chunks, threads - 1, &|c| process(c, range_of(c)))
+    executor::run_region(num_chunks, threads - 1, &|c| {
+        process(c * size..((c + 1) * size).min(n))
+    })
 }
 
 /// Pointer wrapper so disjoint chunk writes can target one output buffer
@@ -311,36 +305,41 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Parallel `(0..n).map(f).collect()`, order-preserving: slot `i` of the
-/// result is `f(i)`. Deterministic for any thread count by construction
-/// (each slot is written exactly once, independently).
-pub fn par_map_range<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    // Slot `i` is `f(i)` whichever path runs, so the plain collect is the
-    // same value — without the chunk dispatch or the uninit buffer.
-    if n < sequential_threshold() || effective_threads() <= 1 {
-        if n > 0 && n < sequential_threshold() {
-            obs::count("par.sequential_fallback", 1);
-        }
-        return (0..n).map(f).collect();
-    }
+/// The one slot-filling map: slot `i` of the result is `f(i)`, written
+/// exactly once by whichever participant runs its chunk (see
+/// [`run_chunked`]), so the value never depends on the thread count.
+fn map_chunked<U: Send>(
+    n: usize,
+    size: usize,
+    threads: usize,
+    f: impl Fn(usize) -> U + Sync,
+) -> Result<Vec<U>, RegionError> {
     let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
     // SAFETY: MaybeUninit contents need no initialization.
     unsafe { out.set_len(n) };
     let base = SendPtr(out.as_mut_ptr());
-    let region = run_chunked(n, 0, &|_, range| {
-        let ptr = base.get();
-        for i in range {
-            // SAFETY: `i` is in this chunk's disjoint range, in-bounds.
-            unsafe { ptr.add(i).write(MaybeUninit::new(f(i))) };
+    // On failure the set of initialized slots is unknowable, so `?` drops
+    // the buffer element-drop-free — leaking their allocations at worst.
+    run_chunked(n, size, threads, |range| {
+        // SAFETY: the range is in-bounds and disjoint from every other
+        // chunk's, so this is the only live reference to its slots.
+        let slots =
+            unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
+        for (slot, i) in slots.iter_mut().zip(range) {
+            slot.write(f(i));
         }
-    });
-    // On failure the set of initialized slots is unknowable; re-raising
-    // here drops the buffer element-drop-free, leaking at worst.
-    complete_or_propagate(region);
+    })?;
     // SAFETY: run_chunked returned Ok, so every chunk ran: every slot of
     // 0..n is initialized.
     let mut out = ManuallyDrop::new(out);
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<U>(), n, out.capacity()) }
+    Ok(unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<U>(), n, out.capacity()) })
+}
+
+/// Parallel `(0..n).map(f).collect()`, order-preserving: slot `i` of the
+/// result is `f(i)`. Deterministic for any thread count by construction
+/// (each slot is written exactly once, independently).
+pub fn par_map_range<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
+    propagate(map_chunked(n, chunk_size(n), scan_threads(n), f))
 }
 
 /// [`par_map_range`] with region panics converted into a typed
@@ -353,31 +352,7 @@ pub fn try_par_map_range<U: Send>(
     n: usize,
     f: impl Fn(usize) -> U + Sync,
 ) -> Result<Vec<U>, ParError> {
-    if n < sequential_threshold() || effective_threads() <= 1 {
-        if n > 0 && n < sequential_threshold() {
-            obs::count("par.sequential_fallback", 1);
-        }
-        return catch_unwind(AssertUnwindSafe(|| (0..n).map(&f).collect()))
-            .map_err(|p| ParError::from_payload(p.as_ref()));
-    }
-    let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
-    // SAFETY: MaybeUninit contents need no initialization.
-    unsafe { out.set_len(n) };
-    let base = SendPtr(out.as_mut_ptr());
-    let region = run_chunked(n, 0, &|_, range| {
-        let ptr = base.get();
-        for i in range {
-            // SAFETY: `i` is in this chunk's disjoint range, in-bounds.
-            unsafe { ptr.add(i).write(MaybeUninit::new(f(i))) };
-        }
-    });
-    // Which slots are initialized after a fault is unknowable, so the
-    // buffer is dropped element-drop-free — leaking the initialized
-    // elements' owned allocations at worst, like the panic path above.
-    region.map_err(ParError::from_region)?;
-    // SAFETY: run_chunked returned Ok, so every slot is initialized.
-    let mut out = ManuallyDrop::new(out);
-    Ok(unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<U>(), n, out.capacity()) })
+    map_chunked(n, chunk_size(n), scan_threads(n), f).map_err(ParError::from_region)
 }
 
 /// Parallel `items.iter().map(f).collect()`, order-preserving.
@@ -388,15 +363,6 @@ pub fn try_par_map_range<U: Send>(
 /// ```
 pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     par_map_range(items.len(), |i| f(&items[i]))
-}
-
-/// [`par_map`] with region panics converted into a typed [`ParError`] —
-/// see [`try_par_map_range`].
-pub fn try_par_map<T: Sync, U: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> U + Sync,
-) -> Result<Vec<U>, ParError> {
-    try_par_map_range(items.len(), |i| f(&items[i]))
 }
 
 /// Parallel map for a *short list of heavy tasks*: one executor chunk per
@@ -416,159 +382,53 @@ pub fn try_par_map<T: Sync, U: Send>(
 /// usable core, or the caller is itself a pool worker (nested regions
 /// are serial — see `executor.rs`).
 pub fn par_map_heavy<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    let n = items.len();
-    let threads = effective_threads().min(n);
-    if n <= 1 || threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    obs::count("par.tasks_dispatched", n as u64);
-    let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
-    // SAFETY: MaybeUninit contents need no initialization.
-    unsafe { out.set_len(n) };
-    let base = SendPtr(out.as_mut_ptr());
-    let region = executor::run_region(n, threads - 1, &|i| {
-        let ptr = base.get();
-        // SAFETY: chunk `i` owns slot `i` exclusively, in-bounds.
-        unsafe { ptr.add(i).write(MaybeUninit::new(f(&items[i]))) };
-    });
-    // On failure the set of initialized slots is unknowable; re-raising
-    // here drops the buffer element-drop-free, leaking at worst.
-    complete_or_propagate(region);
-    // SAFETY: run_region returned Ok, so every slot is initialized.
-    let mut out = ManuallyDrop::new(out);
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<U>(), n, out.capacity()) }
+    propagate(map_chunked(items.len(), 1, effective_threads(), |i| {
+        f(&items[i])
+    }))
 }
 
-/// Order-preserving indexed reduce: maps fixed chunks of `0..n` (chunk
-/// size `chunk`, or an automatic length-only policy when `0`) and folds
-/// the chunk results **in chunk order** on the calling thread. `None`
-/// iff `n == 0`.
+/// Order-preserving indexed reduce: maps the fixed chunks of `0..n` (at
+/// most 64, boundaries a function of `n` alone) and folds the chunk
+/// results **in chunk order** on the calling thread. `None` iff `n == 0`.
 ///
-/// Because the chunk boundaries are a pure function of `(n, chunk)` and
-/// the fold order is fixed, the result is bit-identical for every thread
-/// count — even for non-associative merges such as floating-point `+`.
+/// Because the chunk boundaries are a pure function of `n` and the fold
+/// order is fixed, the result is bit-identical for every thread count —
+/// even for non-associative merges such as floating-point `+`.
 pub fn par_index_reduce<A: Send>(
     n: usize,
-    chunk: usize,
     map: impl Fn(Range<usize>) -> A + Sync,
-    mut merge: impl FnMut(A, A) -> A,
+    merge: impl FnMut(A, A) -> A,
 ) -> Option<A> {
-    if n == 0 {
-        return None;
+    let size = chunk_size(n);
+    let num_chunks = n.div_ceil(size);
+    let chunk = |c: usize| map(c * size..((c + 1) * size).min(n));
+    let threads = scan_threads(n);
+    if threads <= 1 {
+        // The same chunks folded in one pass, skipping the slot vector,
+        // which costs a third more on the few-dozen-item regions Mondrian
+        // recurses into. A panic here reaches the caller as it is.
+        return (0..num_chunks).map(chunk).reduce(merge);
     }
-    let num_chunks = n.div_ceil(chunk_size(n, chunk));
-    // Same chunk boundaries, same left fold — just mapped and merged in
-    // one pass on the calling thread, skipping the slot vector.
-    if n < sequential_threshold() || effective_threads() <= 1 {
-        if n < sequential_threshold() {
-            obs::count("par.sequential_fallback", 1);
-        }
-        let size = chunk_size(n, chunk);
-        let mut acc: Option<A> = None;
-        for c in 0..num_chunks {
-            let a = map(c * size..((c + 1) * size).min(n));
-            acc = Some(match acc {
-                None => a,
-                Some(prev) => merge(prev, a),
-            });
-        }
-        return acc;
-    }
-    let slots: Vec<Mutex<Option<A>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-    let region = run_chunked(n, chunk, &|c, range| {
-        *slots[c].lock().unwrap_or_else(PoisonError::into_inner) = Some(map(range));
-    });
-    complete_or_propagate(region);
-    let mut acc: Option<A> = None;
-    for slot in slots {
-        let a = slot
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .expect("all chunks completed");
-        acc = Some(match acc {
-            None => a,
-            Some(prev) => merge(prev, a),
-        });
-    }
-    acc
-}
-
-/// [`par_index_reduce`] with region panics converted into a typed
-/// [`ParError`] — see [`try_par_map_range`]. `Ok(None)` iff `n == 0`.
-pub fn try_par_index_reduce<A: Send>(
-    n: usize,
-    chunk: usize,
-    map: impl Fn(Range<usize>) -> A + Sync,
-    mut merge: impl FnMut(A, A) -> A,
-) -> Result<Option<A>, ParError> {
-    if n == 0 {
-        return Ok(None);
-    }
-    let num_chunks = n.div_ceil(chunk_size(n, chunk));
-    if n < sequential_threshold() || effective_threads() <= 1 {
-        if n < sequential_threshold() {
-            obs::count("par.sequential_fallback", 1);
-        }
-        let size = chunk_size(n, chunk);
-        return catch_unwind(AssertUnwindSafe(|| {
-            let mut acc: Option<A> = None;
-            for c in 0..num_chunks {
-                let a = map(c * size..((c + 1) * size).min(n));
-                acc = Some(match acc {
-                    None => a,
-                    Some(prev) => merge(prev, a),
-                });
-            }
-            acc
-        }))
-        .map_err(|p| ParError::from_payload(p.as_ref()));
-    }
-    let slots: Vec<Mutex<Option<A>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-    run_chunked(n, chunk, &|c, range| {
-        *slots[c].lock().unwrap_or_else(PoisonError::into_inner) = Some(map(range));
-    })
-    .map_err(ParError::from_region)?;
-    let mut acc: Option<A> = None;
-    for slot in slots {
-        let a = slot
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .expect("all chunks completed");
-        acc = Some(match acc {
-            None => a,
-            Some(prev) => merge(prev, a),
-        });
-    }
-    Ok(acc)
+    // One slot per chunk: the chunk results are a slot map over chunk ids.
+    propagate(map_chunked(num_chunks, 1, threads, chunk))
+        .into_iter()
+        .reduce(merge)
 }
 
 /// Chunked slice reduce: `map` sees `&items[chunk_range]`, results fold
-/// in chunk order. `chunk = 0` picks the automatic length-only policy.
-/// `None` iff `items` is empty.
+/// in chunk order, with the boundaries of [`par_index_reduce`]. `None`
+/// iff `items` is empty.
 ///
 /// ```
-/// let total =
-///     par::par_chunks_reduce(&[1.5f64, 2.5, 3.0], 0, |c| c.iter().sum::<f64>(), |a, b| a + b);
+/// let total = par::par_chunks_reduce(&[1.5f64, 2.5, 3.0], |c| c.iter().sum::<f64>(), |a, b| a + b);
 /// assert_eq!(total, Some(7.0));
 /// ```
 pub fn par_chunks_reduce<T: Sync, A: Send>(
     items: &[T],
-    chunk: usize,
     map: impl Fn(&[T]) -> A + Sync,
     merge: impl FnMut(A, A) -> A,
 ) -> Option<A> {
-    par_index_reduce(items.len(), chunk, |r| map(&items[r]), merge)
-}
-
-/// [`par_chunks_reduce`] with region panics converted into a typed
-/// [`ParError`] — see [`try_par_map_range`]. `Ok(None)` iff empty.
-pub fn try_par_chunks_reduce<T: Sync, A: Send>(
-    items: &[T],
-    chunk: usize,
-    map: impl Fn(&[T]) -> A + Sync,
-    merge: impl FnMut(A, A) -> A,
-) -> Result<Option<A>, ParError> {
-    try_par_index_reduce(items.len(), chunk, |r| map(&items[r]), merge)
+    par_index_reduce(items.len(), |r| map(&items[r]), merge)
 }
 
 #[cfg(test)]
@@ -604,7 +464,7 @@ mod tests {
         let xs: Vec<f64> = (0..5000)
             .map(|i| ((i * 2654435761u64 % 1000) as f64).powf(3.1) / ((i + 1) as f64))
             .collect();
-        let reduce = || par_chunks_reduce(&xs, 0, |c| c.iter().sum::<f64>(), |a, b| a + b).unwrap();
+        let reduce = || par_chunks_reduce(&xs, |c| c.iter().sum::<f64>(), |a, b| a + b).unwrap();
         let reference = with_threads(1, reduce);
         for t in [2usize, 3, 4, 7] {
             let got = with_cores(8, || with_threads(t, reduce));
@@ -613,29 +473,35 @@ mod tests {
     }
 
     #[test]
-    fn explicit_chunk_size_controls_boundaries() {
-        // chunk = 10 over 0..100 → exactly ten chunks, folded in order.
-        let chunks = par_index_reduce(
-            100,
-            10,
-            |r| vec![(r.start, r.end)],
-            |mut a, b| {
-                a.extend(b);
-                a
-            },
-        )
-        .unwrap();
-        assert_eq!(chunks.len(), 10);
-        assert_eq!(chunks[0], (0, 10));
-        assert_eq!(chunks[9], (90, 100));
-        assert!(chunks.windows(2).all(|w| w[0].1 == w[1].0));
+    fn chunk_boundaries_depend_on_length_alone() {
+        // 6400 items → exactly 64 chunks of 100, folded in order, whether
+        // the region runs inline or on the pool.
+        for t in [1usize, 4] {
+            let chunks = with_cores(4, || {
+                with_threads(t, || {
+                    par_index_reduce(
+                        6400,
+                        |r| vec![(r.start, r.end)],
+                        |mut a, b| {
+                            a.extend(b);
+                            a
+                        },
+                    )
+                })
+            })
+            .unwrap();
+            assert_eq!(chunks.len(), 64, "t = {t}");
+            assert_eq!(chunks[0], (0, 100), "t = {t}");
+            assert_eq!(chunks[63], (6300, 6400), "t = {t}");
+            assert!(chunks.windows(2).all(|w| w[0].1 == w[1].0), "t = {t}");
+        }
     }
 
     #[test]
     fn index_reduce_empty_is_none() {
-        assert_eq!(par_index_reduce(0, 0, |_| 1u32, |a, b| a + b), None);
+        assert_eq!(par_index_reduce(0, |_| 1u32, |a, b| a + b), None);
         let empty: Vec<u8> = Vec::new();
-        assert_eq!(par_chunks_reduce(&empty, 0, |_| 1u32, |a, b| a + b), None);
+        assert_eq!(par_chunks_reduce(&empty, |_| 1u32, |a, b| a + b), None);
     }
 
     #[test]
@@ -653,7 +519,6 @@ mod tests {
         assert_eq!(
             with_threads(4, || par_chunks_reduce(
                 &big[..100],
-                0,
                 |c| c.iter().sum::<u64>(),
                 |a, b| a + b
             )),
@@ -672,7 +537,7 @@ mod tests {
         assert!(ids.iter().all(|&id| id == caller));
         // And the clamped run is bit-identical to the pooled one.
         let xs: Vec<f64> = (0..5000).map(|i| (i as f64).sqrt() / 3.0).collect();
-        let reduce = || par_chunks_reduce(&xs, 0, |c| c.iter().sum::<f64>(), |a, b| a + b).unwrap();
+        let reduce = || par_chunks_reduce(&xs, |c| c.iter().sum::<f64>(), |a, b| a + b).unwrap();
         let clamped = with_cores(1, || with_threads(4, reduce));
         let pooled = with_cores(4, || with_threads(4, reduce));
         assert_eq!(clamped.to_bits(), pooled.to_bits());
@@ -709,7 +574,6 @@ mod tests {
                     // deadlock and must produce the same values.
                     par_index_reduce(
                         100,
-                        0,
                         |r| r.map(|j| (i * j) as u64).sum::<u64>(),
                         |a, b| a + b,
                     )
@@ -728,7 +592,7 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             with_cores(4, || {
                 with_threads(4, || {
-                    par_map_range(1000, |i| {
+                    par_map_range(5000, |i| {
                         assert!(i != 777, "boom at {i}");
                         i
                     })
@@ -737,7 +601,7 @@ mod tests {
         });
         assert!(result.is_err());
         // The pool must stay usable afterwards.
-        let ok = with_cores(4, || with_threads(4, || par_map_range(1000, |i| i * 2)));
+        let ok = with_cores(4, || with_threads(4, || par_map_range(5000, |i| i * 2)));
         assert_eq!(ok[50], 100);
     }
 
@@ -748,21 +612,14 @@ mod tests {
             with_cores(4, || {
                 with_threads(t, || {
                     assert_eq!(
-                        try_par_map(&items, |&x| x * 7).unwrap(),
+                        try_par_map_range(items.len(), |i| items[i] * 7).unwrap(),
                         par_map(&items, |&x| x * 7),
-                        "t = {t}"
-                    );
-                    let sum = |c: &[u64]| c.iter().map(|&x| x as f64).sum::<f64>();
-                    assert_eq!(
-                        try_par_chunks_reduce(&items, 0, sum, |a, b| a + b).unwrap(),
-                        par_chunks_reduce(&items, 0, sum, |a, b| a + b),
                         "t = {t}"
                     );
                 })
             });
         }
         assert_eq!(try_par_map_range(0, |i| i).unwrap(), Vec::<usize>::new());
-        assert_eq!(try_par_index_reduce(0, 0, |_| 1u32, |a, b| a + b), Ok(None));
     }
 
     #[test]
@@ -792,18 +649,6 @@ mod tests {
         assert!(!err.to_string().is_empty());
         let ok = with_cores(4, || with_threads(4, || par_map_range(5000, |i| i * 2)));
         assert_eq!(ok[100], 200);
-        // Reduce flavours too.
-        let err = try_par_index_reduce(
-            100,
-            0,
-            |r| {
-                assert!(!r.contains(&50), "reduce boom");
-                r.len()
-            },
-            |a, b| a + b,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ParError::RegionPanicked { .. }));
     }
 
     #[test]

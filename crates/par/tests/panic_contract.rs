@@ -76,7 +76,6 @@ fn each_entry_point(n: usize, at: usize, check: impl Fn(&Payload, &str)) {
         &payload_of(|| {
             par_index_reduce(
                 n,
-                0,
                 |r| r.map(|i| boom_at(i, at)).sum::<usize>(),
                 |a, b| a + b,
             )
@@ -87,7 +86,6 @@ fn each_entry_point(n: usize, at: usize, check: impl Fn(&Payload, &str)) {
         &payload_of(|| {
             par_chunks_reduce(
                 &items,
-                0,
                 |c| c.iter().map(|&i| boom_at(i, at)).sum::<usize>(),
                 |a, b| a + b,
             )
@@ -133,7 +131,7 @@ fn pooled_regions_reraise_boom_or_the_pool_message_and_the_pool_survives() {
         pooled(|| {
             let ok = par_map_range(N, |i| i * 2);
             assert!(ok.iter().enumerate().all(|(i, &v)| v == i * 2));
-            let sum = par_index_reduce(N, 0, |r| r.sum::<usize>(), |a, b| a + b);
+            let sum = par_index_reduce(N, |r| r.sum::<usize>(), |a, b| a + b);
             assert_eq!(sum, Some(N * (N - 1) / 2));
             assert_eq!(
                 par_map_heavy(&items, |&i| i + 1),

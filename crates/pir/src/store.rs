@@ -214,7 +214,6 @@ impl Database {
     fn batch_words<const W: usize>(&self, masks: &[&BitVec]) -> Vec<Vec<u8>> {
         let folded = par::par_index_reduce(
             words_for(self.len),
-            0,
             |range| batch_fold_words::<W>(&self.data, masks, range),
             |mut a, b| {
                 for (la, lb) in a.iter_mut().zip(&b) {
@@ -248,7 +247,6 @@ impl Database {
         let zero = || vec![(vec![0u64; body], vec![0u8; tail_len]); lanes];
         let folded = par::par_index_reduce(
             words_for(self.len),
-            0,
             |range| {
                 let mut acc = zero();
                 for w in range {

@@ -163,7 +163,7 @@ impl ActiveSet {
     }
 
     /// Centroid of the live records, summed in fixed chunk order (the
-    /// same `(len, chunk = 0)` boundaries and per-component element order
+    /// same length-only chunk boundaries and per-component element order
     /// as the row-major reduce, so the mean is bit-identical at every
     /// thread count).
     fn centroid(&self) -> Vec<f64> {
@@ -173,7 +173,6 @@ impl ActiveSet {
             // Stack accumulators — no per-chunk allocation.
             let sums = par::par_index_reduce(
                 self.len(),
-                0,
                 |range| {
                     let mut acc = [0.0f64; 8];
                     for (t, col) in self.cols.iter().enumerate() {
@@ -197,7 +196,6 @@ impl ActiveSet {
         }
         let sums = par::par_index_reduce(
             self.len(),
-            0,
             |range| {
                 self.cols
                     .iter()
