@@ -60,22 +60,76 @@ props! {
 
     #[test]
     fn packed_scan_equals_bool_scan(
-        mask_bytes in vec(any::<u8>(), 1..17),
-        record_size in 1usize..20,
+        mask_bytes in vec(any::<u8>(), 1..41),
+        record_size in 0usize..=80,
+        lanes in 1usize..=9,
         seed in any::<u8>(),
     ) {
-        let bits = bools_from(&mask_bytes);
-        let n = bits.len();
-        let db = Database::new(
-            (0..n)
-                .map(|i| {
-                    (0..record_size)
-                        .map(|j| (i as u8).wrapping_mul(17).wrapping_add(j as u8) ^ seed)
-                        .collect()
-                })
-                .collect(),
-        );
-        let packed = BitVec::from_bools(&bits);
-        prop_assert_eq!(db.xor_selected(&packed), db.xor_selected_bools(&bits));
+        // Up to 320 records: masks end inside, at and past 64-record
+        // word boundaries. Lane `l` rotates the drawn bits by `l * 37`
+        // so the lanes of one sweep select different records.
+        let drawn = bools_from(&mask_bytes);
+        let n = drawn.len();
+        let db = test_db(n, record_size, seed);
+        let lane_bits: Vec<Vec<bool>> = (0..lanes)
+            .map(|l| (0..n).map(|i| drawn[(i + l * 37) % n]).collect())
+            .collect();
+        let packed: Vec<BitVec> = lane_bits.iter().map(|b| BitVec::from_bools(b)).collect();
+        let refs: Vec<&BitVec> = packed.iter().collect();
+        let fused = db.xor_selected_batch(&refs);
+        prop_assert_eq!(fused.len(), lanes);
+        for (l, bits) in lane_bits.iter().enumerate() {
+            prop_assert_eq!(&fused[l], &xor_selected_bools(&db, bits));
+        }
+    }
+}
+
+/// `n` records of `record_size` bytes, every byte a function of its
+/// position and `seed`.
+fn test_db(n: usize, record_size: usize, seed: u8) -> Database {
+    Database::from_fn(n, record_size, |i, rec| {
+        for (j, b) in rec.iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(17).wrapping_add(j as u8) ^ seed;
+        }
+    })
+}
+
+/// The `Vec<bool>` reference sweep: XOR of every selected record, one
+/// byte at a time.
+fn xor_selected_bools(db: &Database, mask: &[bool]) -> Vec<u8> {
+    assert_eq!(mask.len(), db.len(), "mask arity mismatch");
+    let mut acc = vec![0u8; db.record_size()];
+    for (i, _) in mask.iter().enumerate().filter(|(_, &selected)| selected) {
+        for (a, b) in acc.iter_mut().zip(db.record(i)) {
+            *a ^= b;
+        }
+    }
+    acc
+}
+
+/// The pooled path: 70,000 records (1,094 mask words, past the
+/// sequential threshold) of one word, of a word plus a byte tail, and of
+/// five and nine words, under a pinned core count so a one-core host
+/// still fans the sweep out.
+#[test]
+fn pooled_batch_sweep_equals_bool_scan() {
+    use rngkit::SeedableRng;
+    let n = 70_000;
+    let mut rng = rngkit::rngs::StdRng::seed_from_u64(0x5EED);
+    for record_size in [8usize, 9, 40, 72] {
+        let db = test_db(n, record_size, record_size as u8);
+        for q in [1usize, 3] {
+            let masks: Vec<BitVec> = (0..q).map(|_| BitVec::random(&mut rng, n)).collect();
+            let refs: Vec<&BitVec> = masks.iter().collect();
+            let fused =
+                par::with_cores(4, || par::with_threads(4, || db.xor_selected_batch(&refs)));
+            for (l, mask) in masks.iter().enumerate() {
+                assert_eq!(
+                    fused[l],
+                    xor_selected_bools(&db, &mask.to_bools()),
+                    "record_size={record_size} q={q} lane={l}"
+                );
+            }
+        }
     }
 }
