@@ -47,6 +47,18 @@ impl LegacyDb {
     }
 }
 
+/// The `Vec<bool>` scan over the flat store: the packed scan's reference,
+/// without the per-record allocations of [`LegacyDb`].
+fn xor_selected_bools(db: &Database, mask: &[bool]) -> Vec<u8> {
+    let mut acc = vec![0u8; db.record_size()];
+    for (i, _) in mask.iter().enumerate().filter(|(_, &selected)| selected) {
+        for (a, b) in acc.iter_mut().zip(db.record(i)) {
+            *a ^= b;
+        }
+    }
+    acc
+}
+
 /// The pre-PR linear retrieval: per-bit RNG draws for the shares and the
 /// branchy bool-mask scan per server.
 fn legacy_retrieve<R: Rng + ?Sized>(rng: &mut R, db: &LegacyDb, k: usize, index: usize) -> Vec<u8> {
@@ -130,10 +142,10 @@ fn bench_packing_at(h: &mut Harness, n: usize) {
 
     par::with_threads(1, || {
         h.bench(&format!("packing/scan_packed_n{n}"), || {
-            db.xor_selected(&mask)
+            db.xor_selected_batch(&[&mask])
         });
         h.bench(&format!("packing/scan_bools_flat_n{n}"), || {
-            db.xor_selected_bools(&bools)
+            xor_selected_bools(&db, &bools)
         });
         h.bench(&format!("packing/scan_bools_legacy_n{n}"), || {
             legacy.xor_selected(&bools)

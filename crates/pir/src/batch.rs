@@ -7,7 +7,8 @@
 //! [`retrieve_batch`] answers all of them in one fused sweep: every
 //! 64-record data window is folded into all `q` lanes while it is
 //! cache-hot, so the data array crosses the memory bus once per batch
-//! instead of once per query (see [`Database::xor_selected_batch`]).
+//! instead of once per query (see [`Database::xor_selected_batch`], the
+//! store's only mask sweep; a single query is a one-lane call of it).
 //!
 //! The XOR *compute* per lane is information-theoretically irreducible —
 //! every server must touch about n/2 records per query regardless of
@@ -87,7 +88,7 @@ pub fn answer_batch(db: &Database, batch: &BatchQuery) -> BatchOutcome {
     obs::observe("pir.batch_size", q as u64);
     // `pir.batch_drop` models a server rejecting the whole fused sweep
     // (overload shedding, a mid-sweep fault). The degraded path
-    // re-answers every query with its own per-query sweep over the
+    // re-answers every query with its own one-lane sweep over the
     // *same* masks, so a dropped batch costs throughput — q sweeps
     // instead of one — never correctness.
     let (answers, degraded) = if faultkit::fire("pir.batch_drop") {
@@ -95,7 +96,7 @@ pub fn answer_batch(db: &Database, batch: &BatchQuery) -> BatchOutcome {
         let per_query: Vec<[Vec<u8>; 2]> = batch
             .queries()
             .iter()
-            .map(|qq| [db.xor_selected(qq.share(0)), db.xor_selected(qq.share(1))])
+            .map(|qq| [0, 1].map(|j| db.xor_selected_batch(&[qq.share(j)]).remove(0)))
             .collect();
         (per_query, true)
     } else {

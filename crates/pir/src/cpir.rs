@@ -6,7 +6,7 @@
 //! row's 1-columns. By the XOR homomorphism, row `r`'s aggregate decrypts
 //! to `M[r][c]`: the wanted bit. The server computes over ciphertexts only,
 //! so (under quadratic residuosity) it learns nothing about the index, with
-//! a *single* server — the paper's "single database PIR" [6].
+//! a *single* server — the paper's "single database PIR" \[6\].
 
 use crate::cost::CostReport;
 use crate::gm::{self, PrivateKey, PublicKey};

@@ -1,4 +1,4 @@
-//! The 2^d-server "cube" scheme of Chor–Goldreich–Kushilevitz–Sudan [8].
+//! The 2^d-server "cube" scheme of Chor–Goldreich–Kushilevitz–Sudan \[8\].
 //!
 //! The database is a d-dimensional cube `[s]^d` with `s = ⌈n^(1/d)⌉`. The
 //! client picks one random subset `S_j ⊆ [s]` per axis; the server indexed

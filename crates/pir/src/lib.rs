@@ -8,7 +8,7 @@
 //!
 //! * [`trivial`] — the download-everything baseline (perfectly private,
 //!   linear communication);
-//! * [`linear`] — the basic Chor–Goldreich–Kushilevitz–Sudan [8] k-server
+//! * [`linear`] — the basic Chor–Goldreich–Kushilevitz–Sudan \[8\] k-server
 //!   XOR scheme (n-bit queries, one-record answers, information-theoretic
 //!   privacy against any k−1 colluding servers);
 //! * [`square`] — the O(√n) two-server refinement (the "square scheme");

@@ -1,4 +1,4 @@
-//! The basic k-server XOR PIR of Chor–Goldreich–Kushilevitz–Sudan [8].
+//! The basic k-server XOR PIR of Chor–Goldreich–Kushilevitz–Sudan \[8\].
 //!
 //! The client secret-shares the unit selection vector `e_index` into `k`
 //! random bit-vectors whose XOR is `e_index`; server `j` receives share `j`
@@ -8,9 +8,9 @@
 //! property §3 of the paper relies on.
 //!
 //! Shares are word-packed ([`crate::bits::BitVec`]): mask generation draws
-//! one RNG word per 64 records and the servers fold their answers in
-//! parallel, one `par` task per server, XORed together in server order so
-//! the result is bit-identical at any `TDF_THREADS`.
+//! one RNG word per 64 records, and the `k` server answers are the lanes
+//! of one [`Database::xor_selected_batch`] sweep, XORed together in
+//! server order so the result is bit-identical at any `TDF_THREADS`.
 
 use crate::bits::BitVec;
 use crate::cost::{packed_mask_bits, CostReport};
@@ -70,10 +70,11 @@ pub fn retrieve<R: Rng + ?Sized>(
     index: usize,
 ) -> (Vec<u8>, Vec<ServerView>, CostReport) {
     let q = Query::build(rng, db.len(), k, index);
-    // Each replica computes its answer independently; fold in server
-    // order on the client so the result does not depend on scheduling.
-    let answers = par::par_map(&q.shares, |s| db.xor_selected(s));
-    // One flush for the k whole-mask sweeps `xor_selected` just did.
+    // The k replicas' answers come from one k-lane sweep; each lane is
+    // exactly the answer its server computes alone. Fold in server order
+    // on the client.
+    let answers = db.xor_selected_batch(&q.shares.iter().collect::<Vec<_>>());
+    // One flush for the k mask sweeps the lanes stand for.
     obs::count(
         "pir.words_scanned",
         q.shares.iter().map(|s| s.words().len() as u64).sum(),

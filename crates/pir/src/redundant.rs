@@ -6,7 +6,7 @@
 //! cannot tell. This module replicates the 2-server CGKS retrieval across
 //! **disjoint server pairs** — servers `(2p, 2p+1)` form pair `p` — and
 //! verifies each pair's reconstruction against a per-record checksum
-//! held in a parallel tag table ([`VerifiedDatabase`]). With `m ≥ 2(t + 1)`
+//! stored after the payload ([`VerifiedDatabase`]). With `m ≥ 2(t + 1)`
 //! servers the client survives any `t` faulty servers, whatever they do:
 //!
 //! * a **silent** server (drop / timeout) fails its pair after a bounded
@@ -29,11 +29,12 @@
 //! words scanned are *identical*. At `t = 1` (worst case, one spoiled
 //! pair) the client scans at most 2× the words of the fault-free run,
 //! meeting the `< 2×` budget of EXPERIMENTS P4 in every non-degraded run
-//! and exactly 2× only when a fault actually fired. Tags live in their
-//! own [`TAG_BYTES`]-byte-record table rather than appended inline, so
-//! the payload scan keeps the original record stride — appending 8 bytes
-//! to every record was measured to cost ~3× wall time on 32-byte records
-//! by breaking the XOR kernel's vectorization-friendly layout.
+//! and exactly 2× only when a fault actually fired. Tags are stored
+//! inline, each record being `payload ‖ tag`, so one server answer is one
+//! one-lane [`Database::xor_selected_batch`] sweep split at the payload
+//! size. A whole-word payload stays on the word-size kernel after its
+//! [`TAG_BYTES`]-byte tag is appended (32 + 8 = 40 bytes is five words);
+//! DESIGN §9 and EXPERIMENTS P4 have the measured cost.
 //!
 //! Faults are injected through `faultkit` at two sites: `pir.server_drop`
 //! (a server never answers this attempt) and `pir.corrupt_word` (a server
@@ -48,7 +49,7 @@ use crate::store::Database;
 use rngkit::Rng;
 use std::fmt;
 
-/// Bytes of checksum per record in a [`VerifiedDatabase`]'s tag table.
+/// Bytes of checksum after each payload in a [`VerifiedDatabase`].
 pub const TAG_BYTES: usize = 8;
 
 /// FNV-1a over the record index and payload — the per-record checksum.
@@ -63,30 +64,30 @@ fn record_tag(index: usize, payload: &[u8]) -> u64 {
     h
 }
 
-/// A replicated database paired with a parallel table of per-record
-/// [`TAG_BYTES`]-byte checksums over `(index, payload)`, so a client can
-/// verify any reconstructed record without trusting the servers. Every
-/// server holds both tables and answers one selection mask against each;
-/// keeping tags out of the payload records preserves the payload scan's
-/// memory stride (see the module docs for the measured cost of inlining).
+/// A replicated database whose record `i` is `payload ‖ tag`, the tag
+/// being a [`TAG_BYTES`]-byte checksum over `(i, payload)`, so a client
+/// can verify any reconstructed record without trusting the servers.
+/// One selection mask answers payload and tag in the same sweep.
 #[derive(Debug, Clone)]
 pub struct VerifiedDatabase {
-    payloads: Database,
-    tags: Database,
+    records: Database,
 }
 
 impl VerifiedDatabase {
     /// Tags and stores `records` (all the same length, like
     /// [`Database::new`]).
     pub fn new(records: Vec<Vec<u8>>) -> Self {
-        let tags = records
-            .iter()
+        let tagged = records
+            .into_iter()
             .enumerate()
-            .map(|(i, r)| record_tag(i, r).to_le_bytes().to_vec())
+            .map(|(i, mut r)| {
+                let tag = record_tag(i, &r);
+                r.extend_from_slice(&tag.to_le_bytes());
+                r
+            })
             .collect();
         Self {
-            payloads: Database::new(records),
-            tags: Database::new(tags),
+            records: Database::new(tagged),
         }
     }
 
@@ -95,29 +96,19 @@ impl VerifiedDatabase {
         Self::new((0..db.len()).map(|i| db.record(i).to_vec()).collect())
     }
 
-    /// The payload replica every server holds.
-    pub fn database(&self) -> &Database {
-        &self.payloads
-    }
-
-    /// The checksum table every server holds alongside the payloads.
-    pub fn tags(&self) -> &Database {
-        &self.tags
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.payloads.len()
+        self.records.len()
     }
 
     /// True when the database holds no records.
     pub fn is_empty(&self) -> bool {
-        self.payloads.len() == 0
+        self.records.is_empty()
     }
 
-    /// Bytes per payload record.
+    /// Bytes per payload record (0 for an empty database).
     pub fn payload_size(&self) -> usize {
-        self.payloads.record_size()
+        self.records.record_size().saturating_sub(TAG_BYTES)
     }
 
     /// True iff `payload` and `tag` reconstruct the checksummed record
@@ -230,14 +221,14 @@ struct Stats {
 
 /// One server's answer under the fault plan: retries on injected drops
 /// (accounting simulated timeout + exponential backoff per retry) and
-/// applies injected word corruption. `None` means the server stayed
-/// silent through every attempt.
+/// applies injected word corruption. The answer is still `payload ‖ tag`.
+/// `None` means the server stayed silent through every attempt.
 fn query_server(
     vdb: &VerifiedDatabase,
     share: &BitVec,
     policy: &RetryPolicy,
     stats: &mut Stats,
-) -> Option<(Vec<u8>, Vec<u8>)> {
+) -> Option<Vec<u8>> {
     for attempt in 0..=policy.max_retries {
         stats.attempts_sent += 1;
         if faultkit::fire("pir.server_drop") {
@@ -245,23 +236,19 @@ fn query_server(
             stats.waited_ms += policy.timeout_ms + (policy.backoff_ms << attempt);
             continue;
         }
-        // One mask selects from both tables in a single fused sweep: the
-        // payload answer and the matching checksum answer.
-        let (mut payload, mut tag) = vdb.payloads.xor_selected_joint(&vdb.tags, share);
+        // One sweep answers the payload and its checksum together.
+        let mut answer = vdb.records.xor_selected_batch(&[share]).remove(0);
         stats.words_scanned += share.words().len() as u64;
         stats.server_ops += share.count_ones();
         stats.answers += 1;
         if faultkit::fire("pir.corrupt_word") {
-            // A byzantine server: flip one answer bit. The bit position
-            // varies with the answer ordinal so the two corruptions of
-            // one pair can never cancel in the XOR.
-            let flipped = 1u8 << ((stats.answers - 1) % 8);
-            match payload.first_mut() {
-                Some(b) => *b ^= flipped,
-                None => tag[0] ^= flipped, // zero-length payloads
-            }
+            // A byzantine server: flip one bit of answer byte 0 — the
+            // payload's first byte, or the tag's when the payload is
+            // empty. The bit position varies with the answer ordinal so
+            // the two corruptions of one pair can never cancel in the XOR.
+            answer[0] ^= 1u8 << ((stats.answers - 1) % 8);
         }
-        return Some((payload, tag));
+        return Some(answer);
     }
     None
 }
@@ -304,18 +291,16 @@ pub fn retrieve<R: Rng + ?Sized>(
         let q = Query::build(rng, vdb.len(), 2, index);
         let a = query_server(vdb, q.share(0), policy, &mut stats);
         let b = query_server(vdb, q.share(1), policy, &mut stats);
-        let (Some((mut payload, mut tag)), Some((payload_b, tag_b))) = (a, b) else {
+        let (Some(mut record), Some(record_b)) = (a, b) else {
             continue; // a silent server spoils the pair; fail over
         };
-        for (x, y) in payload.iter_mut().zip(&payload_b) {
+        for (x, y) in record.iter_mut().zip(&record_b) {
             *x ^= y;
         }
-        for (x, y) in tag.iter_mut().zip(&tag_b) {
-            *x ^= y;
-        }
-        if vdb.verify(index, &payload, &tag) {
+        let tag = record.split_off(vdb.payload_size());
+        if vdb.verify(index, &record, &tag) {
             let degraded = pair > 0 || stats.timeouts > 0;
-            outcome = Some((payload, degraded, pair + 1));
+            outcome = Some((record, degraded, pair + 1));
             break;
         }
         stats.corrupt_pairs += 1;
@@ -572,10 +557,10 @@ mod tests {
     fn verified_database_round_trips_and_rejects_tampering() {
         let vdb = vdb(10);
         assert_eq!(vdb.payload_size(), 3);
-        assert_eq!(vdb.database().record_size(), 3, "tags are out-of-band");
-        assert_eq!(vdb.tags().record_size(), TAG_BYTES);
-        let payload = vdb.database().record(4).to_vec();
-        let tag = vdb.tags().record(4).to_vec();
+        assert_eq!(vdb.records.record_size(), 3 + TAG_BYTES, "tags are inline");
+        let (payload, tag) = vdb.records.record(4).split_at(3);
+        assert_eq!(payload, [4, 52, 0xC4]);
+        let (payload, tag) = (payload.to_vec(), tag.to_vec());
         assert!(vdb.verify(4, &payload, &tag));
         assert!(!vdb.verify(5, &payload, &tag), "index is part of the tag");
         let mut tampered = payload.clone();
@@ -588,6 +573,43 @@ mod tests {
         let plain = Database::new(vec![vec![7u8, 8], vec![9, 10]]);
         let re = VerifiedDatabase::from_database(&plain);
         assert_eq!(re.payload_size(), 2);
-        assert!(re.verify(1, re.database().record(1), re.tags().record(1)));
+        let (payload, tag) = re.records.record(1).split_at(2);
+        assert_eq!(payload, [9, 10]);
+        assert!(re.verify(1, payload, tag));
+    }
+
+    #[test]
+    fn inline_answer_splits_into_the_payload_and_tag_answers() {
+        // Word-size (8/16/32/64-byte payloads: 16..=72-byte records) and
+        // any-size (odd payloads, incl. sub-word tails) sweeps.
+        let xor_selected = |rows: &[Vec<u8>], bools: &[bool]| {
+            let mut acc = vec![0u8; rows[0].len()];
+            for (row, _) in rows.iter().zip(bools).filter(|(_, &b)| b) {
+                for (a, b) in acc.iter_mut().zip(row) {
+                    *a ^= b;
+                }
+            }
+            acc
+        };
+        for rs in [1usize, 3, 8, 16, 20, 32, 64, 70] {
+            for n in [1usize, 5, 64, 131] {
+                let payloads: Vec<Vec<u8>> = (0..n).map(|i| vec![(i * 7 + rs) as u8; rs]).collect();
+                let tags: Vec<Vec<u8>> = payloads
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| record_tag(i, p).to_le_bytes().to_vec())
+                    .collect();
+                let vdb = VerifiedDatabase::new(payloads.clone());
+                let bools: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+                let mut answer = vdb
+                    .records
+                    .xor_selected_batch(&[&BitVec::from_bools(&bools)])
+                    .pop()
+                    .unwrap();
+                let tag = answer.split_off(rs);
+                assert_eq!(answer, xor_selected(&payloads, &bools), "rs={rs} n={n}");
+                assert_eq!(tag, xor_selected(&tags, &bools), "rs={rs} n={n}");
+            }
+        }
     }
 }

@@ -1,9 +1,12 @@
 //! The database model shared by all PIR schemes, plus the server *view* —
 //! everything a (curious) server observes during a retrieval, from which
 //! `tdf-core` computes empirical query leakage.
+//!
+//! [`Database::xor_selected_batch`] is the one mask sweep: every XOR
+//! scheme's server answer — linear, batched and redundant — is a lane of
+//! it. [`Database::xor_indices`] is the hint path's index-list fold.
 
 use crate::bits::{words_for, BitVec};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// A database of `n` fixed-size records stored contiguously.
@@ -83,111 +86,22 @@ impl Database {
         &self.data[i * self.record_size..(i + 1) * self.record_size]
     }
 
-    /// XOR of the records selected by the packed `mask` (one bit per
-    /// record). Selected records are found 64 at a time via the mask's
-    /// set-bit iterator and folded 8 bytes per step into a word-wide
-    /// accumulator. Common power-of-two record sizes dispatch to a
-    /// monomorphized fold whose accumulator is a fixed-size array the
-    /// optimiser keeps in registers across the whole scan.
-    pub fn xor_selected(&self, mask: &BitVec) -> Vec<u8> {
-        assert_eq!(mask.len(), self.len, "mask arity mismatch");
-        // Every path below sweeps the whole packed mask exactly once; the
-        // caller tallies that sweep into `pir.words_scanned` (batched per
-        // retrieval — this inner scan is too hot for a per-call write).
-        let rs = self.record_size;
-        let acc = match rs {
-            8 => Some(fold_words::<1>(&self.data, mask).to_vec()),
-            16 => Some(fold_words::<2>(&self.data, mask).to_vec()),
-            32 => Some(fold_words::<4>(&self.data, mask).to_vec()),
-            64 => Some(fold_words::<8>(&self.data, mask).to_vec()),
-            _ => None,
-        };
-        if let Some(acc) = acc {
-            let mut out = Vec::with_capacity(rs);
-            for a in acc {
-                out.extend_from_slice(&a.to_ne_bytes());
-            }
-            return out;
-        }
-        let body = rs / 8; // whole words per record
-        let mut acc64 = vec![0u64; body];
-        let mut tail = vec![0u8; rs % 8];
-        for i in mask.ones() {
-            let rec = &self.data[i * rs..(i + 1) * rs];
-            for (a, chunk) in acc64.iter_mut().zip(rec.chunks_exact(8)) {
-                *a ^= u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
-            }
-            for (t, b) in tail.iter_mut().zip(&rec[body * 8..]) {
-                *t ^= b;
-            }
-        }
-        let mut out = Vec::with_capacity(rs);
-        for a in acc64 {
-            out.extend_from_slice(&a.to_ne_bytes());
-        }
-        out.extend_from_slice(&tail);
-        out
-    }
-
-    /// [`Self::xor_selected`] over two parallel tables — this one and a
-    /// `tags` table of 8-byte records — in a **single sweep** of the
-    /// mask. Decoding the packed mask's set bits costs about as much as
-    /// XOR-folding a small record, so answering payloads and checksums
-    /// in separate sweeps would nearly double the scan; the fused fold
-    /// pays the decode once. Used by the redundant (verified) protocol.
-    pub fn xor_selected_joint(&self, tags: &Database, mask: &BitVec) -> (Vec<u8>, Vec<u8>) {
-        assert_eq!(mask.len(), self.len, "mask arity mismatch");
-        assert_eq!(tags.len, self.len, "tag table arity mismatch");
-        assert_eq!(tags.record_size, 8, "tags are one word per record");
-        let rs = self.record_size;
-        fn widen<const W: usize>((acc, tag): ([u64; W], u64)) -> (Vec<u64>, u64) {
-            (acc.to_vec(), tag)
-        }
-        let folded = match rs {
-            8 => Some(widen(fold_words_joint::<1>(&self.data, &tags.data, mask))),
-            16 => Some(widen(fold_words_joint::<2>(&self.data, &tags.data, mask))),
-            32 => Some(widen(fold_words_joint::<4>(&self.data, &tags.data, mask))),
-            64 => Some(widen(fold_words_joint::<8>(&self.data, &tags.data, mask))),
-            _ => None,
-        };
-        if let Some((acc, tag)) = folded {
-            let mut out = Vec::with_capacity(rs);
-            for a in acc {
-                out.extend_from_slice(&a.to_ne_bytes());
-            }
-            return (out, tag.to_ne_bytes().to_vec());
-        }
-        let body = rs / 8; // whole words per record
-        let mut acc64 = vec![0u64; body];
-        let mut tail = vec![0u8; rs % 8];
-        let mut tag = 0u64;
-        for i in mask.ones() {
-            let rec = &self.data[i * rs..(i + 1) * rs];
-            for (a, chunk) in acc64.iter_mut().zip(rec.chunks_exact(8)) {
-                *a ^= u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
-            }
-            for (t, b) in tail.iter_mut().zip(&rec[body * 8..]) {
-                *t ^= b;
-            }
-            tag ^= tag_word(&tags.data, i);
-        }
-        let mut out = Vec::with_capacity(rs);
-        for a in acc64 {
-            out.extend_from_slice(&a.to_ne_bytes());
-        }
-        out.extend_from_slice(&tail);
-        (out, tag.to_ne_bytes().to_vec())
-    }
-
-    /// XOR-folds `q` packed selection masks in a **single fused sweep**
-    /// of the record data: element `l` of the result equals
-    /// `xor_selected(masks[l])`, but every 64-record data window is
-    /// visited once for the whole batch while it is cache-hot, instead
-    /// of streaming the full array once per query. This generalizes
-    /// [`Self::xor_selected_joint`] from 2 lanes to `q` lanes. The sweep
-    /// is chunked on mask-word boundaries through the persistent
-    /// `tdf-par` executor; XOR merging is exact, so the result is
-    /// bit-identical at any thread count.
+    /// XOR-folds `q` packed selection masks in **one sweep** of the
+    /// record data: element `l` of the result is the XOR of the records
+    /// that `masks[l]` selects. This is the store's only mask sweep —
+    /// a single-query server answer is a one-lane call. Every 64-record
+    /// data window is folded into all `q` lanes while it is cache-hot,
+    /// so the record array crosses the memory bus once per batch instead
+    /// of once per query.
+    ///
+    /// Records of a whole number of words, 8 to 72 bytes, fold through a
+    /// kernel monomorphized on the word count, whose lane accumulator is
+    /// a `[u64; W]` register copy; every other size folds through a
+    /// word-wide body plus a byte tail. The sweep is chunked on
+    /// mask-word boundaries through the persistent `tdf-par` executor;
+    /// XOR merging is exact, so the result is bit-identical at any
+    /// thread count. The caller tallies the mask words into
+    /// `pir.words_scanned` — this loop is too hot for a registry write.
     pub fn xor_selected_batch(&self, masks: &[&BitVec]) -> Vec<Vec<u8>> {
         for (lane, m) in masks.iter().enumerate() {
             assert_eq!(
@@ -202,19 +116,46 @@ impl Database {
             return Vec::new();
         }
         match self.record_size {
-            8 => self.batch_words::<1>(masks),
-            16 => self.batch_words::<2>(masks),
-            32 => self.batch_words::<4>(masks),
-            64 => self.batch_words::<8>(masks),
-            _ => self.batch_generic(masks),
+            8 => self.sweep_words::<1>(masks),
+            16 => self.sweep_words::<2>(masks),
+            24 => self.sweep_words::<3>(masks),
+            32 => self.sweep_words::<4>(masks),
+            40 => self.sweep_words::<5>(masks),
+            48 => self.sweep_words::<6>(masks),
+            56 => self.sweep_words::<7>(masks),
+            64 => self.sweep_words::<8>(masks),
+            72 => self.sweep_words::<9>(masks),
+            _ => self.sweep_any(masks),
         }
     }
 
-    /// Monomorphized fused sweep for records of exactly `W * 8` bytes.
-    fn batch_words<const W: usize>(&self, masks: &[&BitVec]) -> Vec<Vec<u8>> {
+    /// The sweep for records of exactly `W` words. While a lane folds one
+    /// mask word, its accumulator is a local `[u64; W]`, so the XORs stay
+    /// in registers; the copy is written back once per lane per mask
+    /// word instead of reloaded on every selected record.
+    fn sweep_words<const W: usize>(&self, masks: &[&BitVec]) -> Vec<Vec<u8>> {
+        let data = &self.data[..];
         let folded = par::par_index_reduce(
             words_for(self.len),
-            |range| batch_fold_words::<W>(&self.data, masks, range),
+            |range| {
+                let mut acc = vec![[0u64; W]; masks.len()];
+                for w in range {
+                    for (mask, lane) in masks.iter().zip(acc.iter_mut()) {
+                        let mut bits = mask.words()[w];
+                        let mut a = *lane;
+                        while bits != 0 {
+                            let i = w * 64 + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            let rec = &data[i * W * 8..(i + 1) * W * 8];
+                            for (x, chunk) in a.iter_mut().zip(rec.chunks_exact(8)) {
+                                *x ^= u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
+                            }
+                        }
+                        *lane = a;
+                    }
+                }
+                acc
+            },
             |mut a, b| {
                 for (la, lb) in a.iter_mut().zip(&b) {
                     for (x, y) in la.iter_mut().zip(lb) {
@@ -226,45 +167,46 @@ impl Database {
         )
         .unwrap_or_else(|| vec![[0u64; W]; masks.len()]);
         folded
-            .into_iter()
-            .map(|acc| {
-                let mut out = Vec::with_capacity(W * 8);
-                for a in acc {
-                    out.extend_from_slice(&a.to_ne_bytes());
-                }
-                out
-            })
+            .iter()
+            .map(|acc| acc.iter().flat_map(|a| a.to_ne_bytes()).collect())
             .collect()
     }
 
-    /// Fused sweep for arbitrary record sizes: per-lane accumulators are
-    /// a word-wide body plus a byte tail, as in [`Self::xor_selected`].
-    fn batch_generic(&self, masks: &[&BitVec]) -> Vec<Vec<u8>> {
-        let rs = self.record_size;
-        let body = rs / 8;
-        let tail_len = rs % 8;
-        let lanes = masks.len();
-        let zero = || vec![(vec![0u64; body], vec![0u8; tail_len]); lanes];
+    /// The sweep for every other record size: per lane, a word-wide body
+    /// accumulator plus a byte tail. Both are owned locals while their
+    /// lane folds, and the record geometry is copied into locals, so the
+    /// inner loop reloads neither from the heap.
+    fn sweep_any(&self, masks: &[&BitVec]) -> Vec<Vec<u8>> {
+        let zero = || {
+            vec![
+                (
+                    vec![0u64; self.record_size / 8],
+                    vec![0u8; self.record_size % 8]
+                );
+                masks.len()
+            ]
+        };
         let folded = par::par_index_reduce(
             words_for(self.len),
             |range| {
+                let (data, rs, body) = (&self.data[..], self.record_size, self.record_size / 8 * 8);
                 let mut acc = zero();
                 for w in range {
-                    let base = w * 64;
-                    for (lane, mask) in masks.iter().enumerate() {
+                    for (mask, (acc64, tail)) in masks.iter().zip(acc.iter_mut()) {
                         let mut bits = mask.words()[w];
-                        let (acc64, tail) = &mut acc[lane];
+                        let (mut a64, mut t) = (std::mem::take(acc64), std::mem::take(tail));
                         while bits != 0 {
-                            let i = base + bits.trailing_zeros() as usize;
+                            let i = w * 64 + bits.trailing_zeros() as usize;
                             bits &= bits - 1;
-                            let rec = &self.data[i * rs..(i + 1) * rs];
-                            for (a, chunk) in acc64.iter_mut().zip(rec.chunks_exact(8)) {
+                            let rec = &data[i * rs..(i + 1) * rs];
+                            for (a, chunk) in a64.iter_mut().zip(rec[..body].chunks_exact(8)) {
                                 *a ^= u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
                             }
-                            for (t, b) in tail.iter_mut().zip(&rec[body * 8..]) {
-                                *t ^= b;
+                            for (x, b) in t.iter_mut().zip(&rec[body..]) {
+                                *x ^= b;
                             }
                         }
+                        (*acc64, *tail) = (a64, t);
                     }
                 }
                 acc
@@ -285,12 +227,11 @@ impl Database {
         folded
             .into_iter()
             .map(|(acc64, tail)| {
-                let mut out = Vec::with_capacity(rs);
-                for a in acc64 {
-                    out.extend_from_slice(&a.to_ne_bytes());
-                }
-                out.extend_from_slice(&tail);
-                out
+                acc64
+                    .iter()
+                    .flat_map(|a| a.to_ne_bytes())
+                    .chain(tail)
+                    .collect()
             })
             .collect()
     }
@@ -312,119 +253,6 @@ impl Database {
         }
         acc
     }
-
-    /// `Vec<bool>` reference implementation of [`Self::xor_selected`] —
-    /// the pre-packing scan, kept for property tests and benchmarks.
-    pub fn xor_selected_bools(&self, mask: &[bool]) -> Vec<u8> {
-        assert_eq!(mask.len(), self.len, "mask arity mismatch");
-        let mut acc = vec![0u8; self.record_size];
-        for (i, &selected) in mask.iter().enumerate() {
-            if selected {
-                for (a, b) in acc.iter_mut().zip(self.record(i)) {
-                    *a ^= b;
-                }
-            }
-        }
-        acc
-    }
-}
-
-/// XOR-folds the records selected by `mask` for a record size of exactly
-/// `W * 8` bytes. The `W`-word accumulator is a fixed-size array, so the
-/// hot loop keeps it in registers instead of round-tripping a heap
-/// buffer on every selected record.
-fn fold_words<const W: usize>(data: &[u8], mask: &BitVec) -> [u64; W] {
-    let rs = W * 8;
-    debug_assert_eq!(
-        data.len(),
-        mask.len() * rs,
-        "sweep length mismatch: data holds {} bytes but the mask selects {} records of {rs} bytes",
-        data.len(),
-        mask.len()
-    );
-    let mut acc = [0u64; W];
-    for i in mask.ones() {
-        let rec = &data[i * rs..(i + 1) * rs];
-        for (a, chunk) in acc.iter_mut().zip(rec.chunks_exact(8)) {
-            *a ^= u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
-        }
-    }
-    acc
-}
-
-/// The `i`-th 8-byte record of a tag table, as one word.
-fn tag_word(tags: &[u8], i: usize) -> u64 {
-    u64::from_ne_bytes(tags[i * 8..(i + 1) * 8].try_into().expect("8-byte tag"))
-}
-
-/// [`fold_words`] fused with a parallel 8-byte-per-record tag table: one
-/// mask decode feeds both accumulators.
-fn fold_words_joint<const W: usize>(data: &[u8], tags: &[u8], mask: &BitVec) -> ([u64; W], u64) {
-    let rs = W * 8;
-    debug_assert_eq!(
-        data.len(),
-        mask.len() * rs,
-        "joint-sweep length mismatch: data holds {} bytes but the mask selects {} records of {rs} bytes",
-        data.len(),
-        mask.len()
-    );
-    debug_assert_eq!(
-        tags.len(),
-        mask.len() * 8,
-        "joint-sweep length mismatch: tag table holds {} bytes but the mask selects {} 8-byte tags",
-        tags.len(),
-        mask.len()
-    );
-    let mut acc = [0u64; W];
-    let mut tag = 0u64;
-    for i in mask.ones() {
-        let rec = &data[i * rs..(i + 1) * rs];
-        for (a, chunk) in acc.iter_mut().zip(rec.chunks_exact(8)) {
-            *a ^= u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
-        }
-        tag ^= tag_word(tags, i);
-    }
-    (acc, tag)
-}
-
-/// One chunk of the fused multi-lane sweep for records of exactly
-/// `W * 8` bytes: for every mask word in `range`, the ≤ 64-record data
-/// window is folded into each lane's accumulator while it is
-/// L1-resident. The per-lane accumulators are fixed-size `[u64; W]`
-/// arrays, so the inner XOR unrolls into register operations and never
-/// round-trips a heap buffer.
-fn batch_fold_words<const W: usize>(
-    data: &[u8],
-    masks: &[&BitVec],
-    range: Range<usize>,
-) -> Vec<[u64; W]> {
-    let rs = W * 8;
-    for m in masks {
-        debug_assert_eq!(
-            data.len(),
-            m.len() * rs,
-            "batch-sweep length mismatch: data holds {} bytes but a lane mask selects {} records of {rs} bytes",
-            data.len(),
-            m.len()
-        );
-    }
-    let mut acc = vec![[0u64; W]; masks.len()];
-    for w in range {
-        let base = w * 64;
-        for (lane, mask) in masks.iter().enumerate() {
-            let mut bits = mask.words()[w];
-            let a = &mut acc[lane];
-            while bits != 0 {
-                let i = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let rec = &data[i * rs..(i + 1) * rs];
-                for (x, chunk) in a.iter_mut().zip(rec.chunks_exact(8)) {
-                    *x ^= u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
-                }
-            }
-        }
-    }
-    acc
 }
 
 /// What one server observed during a retrieval: the raw query message it
@@ -454,6 +282,24 @@ mod tests {
     use super::*;
     use rngkit::SeedableRng;
 
+    /// The `Vec<bool>` reference sweep: XOR of every selected record, one
+    /// byte at a time.
+    fn xor_selected_bools(db: &Database, mask: &[bool]) -> Vec<u8> {
+        assert_eq!(mask.len(), db.len(), "mask arity mismatch");
+        let mut acc = vec![0u8; db.record_size()];
+        for (i, _) in mask.iter().enumerate().filter(|(_, &selected)| selected) {
+            for (a, b) in acc.iter_mut().zip(db.record(i)) {
+                *a ^= b;
+            }
+        }
+        acc
+    }
+
+    /// A one-lane sweep: one server's answer to `mask`.
+    fn one_lane(db: &Database, mask: &BitVec) -> Vec<u8> {
+        db.xor_selected_batch(&[mask]).remove(0)
+    }
+
     #[test]
     fn construction_and_access() {
         let db = Database::new(vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
@@ -470,35 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn joint_scan_agrees_with_two_separate_scans() {
-        // Exercises both the monomorphized (8/16/32/64-byte) and the
-        // generic (odd-size, incl. sub-word tail) payload paths.
-        for rs in [1usize, 3, 8, 16, 20, 32, 64, 70] {
-            for n in [1usize, 5, 64, 131] {
-                let payloads =
-                    Database::new((0..n).map(|i| vec![(i * 7 + rs) as u8; rs]).collect());
-                let tags = Database::new(
-                    (0..n)
-                        .map(|i| ((i * 0x9E37 + 1) as u64).to_ne_bytes().to_vec())
-                        .collect(),
-                );
-                let bools: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
-                let mask = BitVec::from_bools(&bools);
-                let (joint_p, joint_t) = payloads.xor_selected_joint(&tags, &mask);
-                assert_eq!(joint_p, payloads.xor_selected(&mask), "rs={rs} n={n}");
-                assert_eq!(joint_t, tags.xor_selected(&mask), "rs={rs} n={n}");
-            }
-        }
-    }
-
-    #[test]
     fn xor_selected_matches_manual() {
         let db = Database::new(vec![vec![0b1100], vec![0b1010], vec![0b0001]]);
-        let x = db.xor_selected(&BitVec::from_bools(&[true, true, false]));
+        let x = one_lane(&db, &BitVec::from_bools(&[true, true, false]));
         assert_eq!(x, vec![0b0110]);
-        let all = db.xor_selected(&BitVec::from_bools(&[true, true, true]));
+        let all = one_lane(&db, &BitVec::from_bools(&[true, true, true]));
         assert_eq!(all, vec![0b0111]);
-        let none = db.xor_selected(&BitVec::from_bools(&[false, false, false]));
+        let none = one_lane(&db, &BitVec::from_bools(&[false, false, false]));
         assert_eq!(none, vec![0]);
     }
 
@@ -513,13 +337,13 @@ mod tests {
         );
         let bools: Vec<bool> = (0..70).map(|i| i % 3 != 1).collect();
         let packed = BitVec::from_bools(&bools);
-        assert_eq!(db.xor_selected(&packed), db.xor_selected_bools(&bools));
+        assert_eq!(one_lane(&db, &packed), xor_selected_bools(&db, &bools));
     }
 
     #[test]
     fn batch_sweep_agrees_with_per_query_sweeps() {
-        // Monomorphized (8/16/32/64) and generic (odd-size) lanes, with
-        // masks spanning multiple words, across 1..9 lanes.
+        // Word-size (8..=64) and any-size (odd-size) lanes, with masks
+        // spanning multiple words, across 1..9 lanes.
         let mut rng = rngkit::rngs::StdRng::seed_from_u64(41);
         for rs in [1usize, 8, 9, 16, 32, 64, 70] {
             let n = 131;
@@ -532,7 +356,10 @@ mod tests {
                 let masks: Vec<BitVec> = (0..q).map(|_| BitVec::random(&mut rng, n)).collect();
                 let refs: Vec<&BitVec> = masks.iter().collect();
                 let fused = db.xor_selected_batch(&refs);
-                let sequential: Vec<Vec<u8>> = masks.iter().map(|m| db.xor_selected(m)).collect();
+                let sequential: Vec<Vec<u8>> = masks
+                    .iter()
+                    .map(|m| xor_selected_bools(&db, &m.to_bools()))
+                    .collect();
                 assert_eq!(fused, sequential, "rs={rs} q={q}");
             }
         }
@@ -554,7 +381,10 @@ mod tests {
         let t1 = par::with_threads(1, || db.xor_selected_batch(&refs));
         let t4 = par::with_threads(4, || db.xor_selected_batch(&refs));
         assert_eq!(t1, t4);
-        let sequential: Vec<Vec<u8>> = masks.iter().map(|m| db.xor_selected(m)).collect();
+        let sequential: Vec<Vec<u8>> = masks
+            .iter()
+            .map(|m| xor_selected_bools(&db, &m.to_bools()))
+            .collect();
         assert_eq!(t1, sequential);
     }
 
@@ -592,7 +422,7 @@ mod tests {
         // 4 appears twice, cancelling itself: expect XOR of {1, 19}.
         bools[1] = true;
         bools[19] = true;
-        assert_eq!(db.xor_indices(&indices), db.xor_selected_bools(&bools));
+        assert_eq!(db.xor_indices(&indices), xor_selected_bools(&db, &bools));
         assert_eq!(db.xor_indices(&[]), vec![0u8; 3]);
     }
 

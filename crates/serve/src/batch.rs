@@ -13,14 +13,37 @@
 //! batch order, so a server's answer stream is a deterministic function
 //! of (seed, arrival order) — the same property the session layer gives
 //! SQL queries.
+//!
+//! A sweep that panics (a lost `tdf-par` worker, for one) fails only its
+//! own batch: every fetch in it gets a [`SweepFailed`], the leader goes
+//! on draining, and the next batch is answered as usual.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tdf_pir::store::Database;
 
+/// Why a fetch got no record: the fused sweep of its batch panicked.
+/// Never a wrong record — the fetch may simply be retried.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepFailed {
+    /// The sweep's panic message, when it was string-typed.
+    pub message: String,
+}
+
+impl std::fmt::Display for SweepFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "the PIR batch sweep failed: {}", self.message)
+    }
+}
+
+impl std::error::Error for SweepFailed {}
+
+type Answer = Result<Vec<u8>, SweepFailed>;
+
 /// One waiting request's result slot.
 struct Slot {
-    result: Mutex<Option<Vec<u8>>>,
+    result: Mutex<Option<Answer>>,
     ready: Condvar,
 }
 
@@ -32,23 +55,23 @@ impl Slot {
         }
     }
 
-    fn fill(&self, record: Vec<u8>) {
+    fn fill(&self, answer: Answer) {
         let mut r = self
             .result
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *r = Some(record);
+        *r = Some(answer);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Vec<u8> {
+    fn wait(&self) -> Answer {
         let mut r = self
             .result
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         loop {
-            if let Some(record) = r.take() {
-                return record;
+            if let Some(answer) = r.take() {
+                return answer;
             }
             r = self
                 .ready
@@ -94,10 +117,16 @@ impl PirBatcher {
         }
     }
 
+    /// [`Self::try_fetch`] for callers with no error path: panics with
+    /// the [`SweepFailed`] message if the batch's sweep failed.
+    pub fn fetch(&self, db: &Database, index: usize) -> Vec<u8> {
+        self.try_fetch(db, index).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Fetches record `index`, batching with whatever else is pending.
     /// Blocks the calling worker until its answer is ready. `index` must
     /// already be range-checked against `db`.
-    pub fn fetch(&self, db: &Database, index: usize) -> Vec<u8> {
+    pub fn try_fetch(&self, db: &Database, index: usize) -> Result<Vec<u8>, SweepFailed> {
         let slot = std::sync::Arc::new(Slot::new());
         let mut state = self
             .state
@@ -153,23 +182,42 @@ impl PirBatcher {
 
     /// Answers one drained batch with a fused sweep (at most `max_batch`
     /// lanes per sweep, so a burst cannot build an unbounded mask set).
+    /// A sweep that panics fails every fetch of its chunk and nothing
+    /// else: the panic stops here, so the leader keeps draining.
     fn sweep(&self, db: &Database, batch: &[Pending]) {
         for chunk in batch.chunks(self.max_batch) {
             obs::count("serve.pir.batches", 1);
             obs::gauge_max("serve.pir.batch_max", chunk.len() as u64);
             let indices: Vec<usize> = chunk.iter().map(|p| p.index).collect();
-            let outcome = {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut rng = self
                     .rng
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 tdf_pir::batch::retrieve_batch(&mut *rng, db, &indices)
-            };
-            if outcome.degraded {
-                obs::count("serve.pir.degraded_batches", 1);
-            }
-            for (p, record) in chunk.iter().zip(outcome.records) {
-                p.slot.fill(record);
+            }));
+            match outcome {
+                Ok(outcome) => {
+                    if outcome.degraded {
+                        obs::count("serve.pir.degraded_batches", 1);
+                    }
+                    for (p, record) in chunk.iter().zip(outcome.records) {
+                        p.slot.fill(Ok(record));
+                    }
+                }
+                Err(payload) => {
+                    obs::count("serve.pir.failed_batches", 1);
+                    let failed = SweepFailed {
+                        message: payload
+                            .downcast_ref::<&str>()
+                            .map(|s| (*s).to_owned())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".to_owned()),
+                    };
+                    for p in chunk {
+                        p.slot.fill(Err(failed.clone()));
+                    }
+                }
             }
         }
     }

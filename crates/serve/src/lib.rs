@@ -32,7 +32,7 @@ pub mod protocol;
 pub mod server;
 pub mod session;
 
-pub use batch::PirBatcher;
+pub use batch::{PirBatcher, SweepFailed};
 pub use client::Client;
 pub use loadgen::{LoadConfig, LoadReport};
 pub use protocol::{RefusalReason, Request, Response};

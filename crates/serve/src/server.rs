@@ -596,7 +596,10 @@ fn execute(shared: &Shared, request: Request) -> Response {
             ))
         }
         Request::PirFetch { index, .. } => {
-            Response::Record(shared.batcher.fetch(&shared.pir, index as usize))
+            match shared.batcher.try_fetch(&shared.pir, index as usize) {
+                Ok(record) => Response::Record(record),
+                Err(failed) => Response::Error(failed.to_string()),
+            }
         }
         Request::Append { count, .. } if count > MAX_APPEND => Response::Error(format!(
             "append of {count} rows exceeds the per-request cap of {MAX_APPEND}"

@@ -189,6 +189,79 @@ fn dropped_batch_still_answers_every_fetch_correctly() {
     server.shutdown();
 }
 
+/// A fused sweep that panics fails its own batch with a typed error and
+/// nothing more: no fetch hangs, none gets a wrong record, the leader's
+/// thread lives on, and the next fetch is answered exactly. Every fetch
+/// runs on a helper thread, so a wedged batcher fails the test at the
+/// `recv_timeout` instead of hanging the suite.
+#[test]
+fn a_panicking_sweep_fails_its_batch_and_frees_the_batcher() {
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::time::Duration;
+    use tdf_pir::store::Database;
+    use tdf_serve::{PirBatcher, SweepFailed};
+
+    let _serial = serial();
+    // 2^17 records are 2,048 mask words, enough for the sweep to reach
+    // the pool, which the helpers pin open even on a one-core host.
+    let db = Arc::new(Database::from_fn(1 << 17, 32, |i, rec| {
+        rec.copy_from_slice(&tdf_serve::pir_record(7, 32, i))
+    }));
+    let batcher = Arc::new(PirBatcher::new(7, 50, 64));
+    type Answer = Result<Vec<u8>, SweepFailed>;
+    let fetch_all = |indices: &[usize]| -> Vec<(usize, Answer)> {
+        let (tx, rx) = mpsc::channel();
+        let barrier = Arc::new(Barrier::new(indices.len()));
+        let helpers: Vec<_> = indices
+            .iter()
+            .map(|&index| {
+                let (db, batcher) = (Arc::clone(&db), Arc::clone(&batcher));
+                let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    let answer = par::with_cores(4, || {
+                        par::with_threads(4, || batcher.try_fetch(&db, index))
+                    });
+                    let _ = tx.send((index, answer));
+                })
+            })
+            .collect();
+        let answers = indices
+            .iter()
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("every fetch must be answered: the batcher is wedged")
+            })
+            .collect();
+        // Every helper answered, so none is blocked: joining proves that
+        // none of them, the leader included, unwound.
+        for h in helpers {
+            h.join().expect("a fetching thread panicked");
+        }
+        answers
+    };
+
+    let armed = arm("par.worker_panic=1@1");
+    let answers = fetch_all(&[3, 70_000, 131_071]);
+    drop(armed);
+    let mut failed = 0;
+    for (index, answer) in answers {
+        match answer {
+            Ok(record) => assert_eq!(record, db.record(index), "index {index}"),
+            Err(e) => {
+                assert!(e.message.contains("pooled worker"), "got {e}");
+                failed += 1;
+            }
+        }
+    }
+    assert!(failed >= 1, "the injected worker death must fail its batch");
+
+    // No plan: the batcher is free and answers exactly.
+    let after = fetch_all(&[9]);
+    assert_eq!(after.len(), 1);
+    assert_eq!(after[0].1, Ok(db.record(9).to_vec()));
+}
+
 #[test]
 fn concurrent_pir_fetches_coalesce_into_fused_sweeps() {
     let _serial = serial();

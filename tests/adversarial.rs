@@ -51,8 +51,8 @@ fn corrupted_pir_answer_corrupts_only_that_retrieval() {
     let db = Database::new((0..16u8).map(|i| vec![i, i ^ 0xFF]).collect());
     let mut rng = seeded(7);
     let q = Query::build(&mut rng, db.len(), 2, 5);
-    let honest_a = db.xor_selected(q.share(0));
-    let honest_b = db.xor_selected(q.share(1));
+    let answer = |j: usize| db.xor_selected_batch(&[q.share(j)]).pop().unwrap();
+    let (honest_a, honest_b) = (answer(0), answer(1));
     let record: Vec<u8> = honest_a.iter().zip(&honest_b).map(|(x, y)| x ^ y).collect();
     assert_eq!(record, db.record(5));
 
