@@ -68,7 +68,7 @@ pub struct BatchOutcome {
     /// `q` sequential single-query retrievals over the same masks.
     pub records: Vec<Vec<u8>>,
     /// True when the fused sweep was abandoned (fault injection) and
-    /// the batch degraded to per-query sweeps; records are still exact.
+    /// the batch degraded to one-lane sweeps per query; records are still exact.
     pub degraded: bool,
     /// Aggregate cost of the whole batch.
     pub cost: CostReport,
