@@ -10,7 +10,8 @@
 use check::prelude::*;
 use dbpriv::microdata::synth::{patients, PatientConfig};
 use dbpriv::microdata::{Dataset, SegmentedDataset};
-use dbpriv::querydb::engine::{evaluate, evaluate_segmented};
+use dbpriv::querydb::ast::{Aggregate, CmpOp, Predicate, Query};
+use dbpriv::querydb::engine::{evaluate, evaluate_segmented, Evaluation};
 use dbpriv::querydb::parser::parse;
 use dbpriv::sdc::{mdav_microaggregate, record_linkage_rate, EpochMasker, EpochPublisher};
 
@@ -34,6 +35,71 @@ fn column_range(d: &Dataset, col: usize) -> (f64, f64) {
         }
     }
     (lo, hi)
+}
+
+/// Row-at-a-time reference evaluator, built on public API only and kept
+/// apart from the code under test. A cell compares through
+/// `Value::total_cmp` (what `ColumnView::cmp_value` computes), a missing
+/// cell matches nothing, SUM and AVG left-fold from `+0.0` in row order,
+/// and MIN/MAX select under `f64::total_cmp`.
+fn reference(d: &Dataset, q: &Query) -> Evaluation {
+    fn matches(d: &Dataset, p: &Predicate, i: usize) -> bool {
+        let cell = |attribute: &str| d.value(i, d.schema().index_of(attribute).unwrap());
+        match p {
+            Predicate::True => true,
+            Predicate::Cmp {
+                attribute,
+                op,
+                literal,
+            } => {
+                let v = cell(attribute);
+                let ord = v.total_cmp(literal);
+                !v.is_missing()
+                    && match op {
+                        CmpOp::Lt => ord.is_lt(),
+                        CmpOp::Le => ord.is_le(),
+                        CmpOp::Gt => ord.is_gt(),
+                        CmpOp::Ge => ord.is_ge(),
+                        CmpOp::Eq => ord.is_eq(),
+                        CmpOp::Ne => ord.is_ne(),
+                    }
+            }
+            Predicate::And(a, b) => matches(d, a, i) && matches(d, b, i),
+            Predicate::Or(a, b) => matches(d, a, i) || matches(d, b, i),
+            Predicate::Not(inner) => !matches(d, inner, i),
+            Predicate::In { attribute, values } => {
+                let v = cell(attribute);
+                !v.is_missing() && values.iter().any(|x| v.total_cmp(x).is_eq())
+            }
+        }
+    }
+    let query_set: Vec<usize> = (0..d.num_rows())
+        .filter(|&i| matches(d, &q.predicate, i))
+        .collect();
+    let cells: Vec<f64> = match q.aggregate.attribute() {
+        Some(name) => {
+            let col = d.schema().index_of(name).unwrap();
+            query_set
+                .iter()
+                .filter_map(|&i| d.value(i, col).as_f64())
+                .collect()
+        }
+        None => Vec::new(),
+    };
+    let sum = cells.iter().fold(0.0, |acc, v| acc + v);
+    let value = match &q.aggregate {
+        Aggregate::Count => Some(query_set.len() as f64),
+        Aggregate::Sum(_) => Some(sum),
+        Aggregate::Avg(_) => (!cells.is_empty()).then(|| sum / cells.len() as f64),
+        Aggregate::Min(_) => cells.iter().copied().min_by(f64::total_cmp),
+        Aggregate::Max(_) => cells.iter().copied().max_by(f64::total_cmp),
+    };
+    Evaluation { query_set, value }
+}
+
+/// Query set and the aggregate's bit pattern, so `+0.0` and `-0.0` differ.
+fn bits(e: &Evaluation) -> (&[usize], Option<u64>) {
+    (&e.query_set, e.value.map(f64::to_bits))
 }
 
 props! {
@@ -83,15 +149,18 @@ props! {
             "SELECT AVG(blood_pressure) FROM t WHERE weight > 70",
             "SELECT MIN(height) FROM t WHERE weight < 90",
             "SELECT MAX(weight) FROM t",
+            "SELECT SUM(weight) FROM t WHERE height > 999",
+            "SELECT COUNT(*) FROM t WHERE height < 160 OR weight > 95",
+            "SELECT MAX(blood_pressure) FROM t WHERE NOT aids = Y",
+            "SELECT AVG(weight) FROM t WHERE height IN (160, 165.5, 170, 180)",
         ] {
             let q = parse(sql).unwrap();
+            let want = reference(&d, &q);
             let mono = evaluate(&d, &q).unwrap();
             let segd = evaluate_segmented(&seg, &q).unwrap();
-            prop_assert_eq!(&segd.query_set, &mono.query_set);
-            match (mono.value, segd.value) {
-                (Some(a), Some(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
-                (a, b) => prop_assert_eq!(a, b),
-            }
+            let (want, mono, segd) = (bits(&want), bits(&mono), bits(&segd));
+            prop_assert!(mono == want, "monolithic {sql}: {mono:?} != {want:?}");
+            prop_assert!(segd == want, "segmented {sql}: {segd:?} != {want:?}");
         }
     }
 
@@ -207,16 +276,20 @@ fn out_of_core_end_to_end_matches_in_memory_with_spills_observed() {
         assert_eq!(ooc.reclustered, 20);
     }
 
-    // querydb streaming evaluation against the monolithic evaluator.
+    // querydb streaming evaluation, in memory and out of core, against
+    // the row-at-a-time reference.
     for sql in [
         "SELECT COUNT(*) FROM t WHERE height < 172",
         "SELECT AVG(blood_pressure) FROM t WHERE weight >= 60",
         "SELECT SUM(weight) FROM t",
+        "SELECT SUM(weight) FROM t WHERE height > 999",
     ] {
         let q = parse(sql).unwrap();
+        let want = reference(&d, &q);
         let mono = evaluate(&d, &q).unwrap();
         let ooc = evaluate_segmented(&seg, &q).unwrap();
-        assert_eq!(ooc, mono, "{sql}");
+        assert_eq!(bits(&mono), bits(&want), "monolithic: {sql}");
+        assert_eq!(bits(&ooc), bits(&want), "out of core: {sql}");
     }
 
     // Incremental republication: one appended-and-sealed batch dirties
