@@ -104,7 +104,7 @@ fn main() {
         let mut answer = |src: &str| -> Option<f64> {
             let q = tdf_querydb::parser::parse(src).unwrap();
             let e = tdf_querydb::engine::evaluate(&data, &q).unwrap();
-            dp.apply(&data, &q, &e).point()
+            dp.apply_eval(&q, &e).point()
         };
         let t = "aids = N";
         let c = pred.to_string();

@@ -53,5 +53,5 @@ pub use column::{BoolCol, CatCol, Column, ColumnView, F64Cells, FloatCol, IntCol
 pub use dataset::Dataset;
 pub use error::{Error, Result};
 pub use schema::Schema;
-pub use segment::{CompactedRun, CompactionReport, SegMeta, SegmentedDataset, SegmentedView};
+pub use segment::{CompactedRun, CompactionReport, SegMeta, SegmentedDataset};
 pub use value::Value;

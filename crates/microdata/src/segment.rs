@@ -705,24 +705,6 @@ impl SegmentedDataset {
         })?;
         Ok(out)
     }
-
-    /// Pins every sealed segment and returns a random-access view over
-    /// the full row space (sealed + tail). All segments stay resident for
-    /// the view's lifetime — this is the compat path for row-oriented
-    /// callers, not the streaming path.
-    pub fn view(&self) -> Result<SegmentedView<'_>> {
-        let mut parts = Vec::with_capacity(self.metas.len());
-        for idx in 0..self.metas.len() {
-            parts.push(self.pin(idx)?);
-        }
-        Ok(SegmentedView {
-            parts,
-            bases: self.metas.iter().map(|m| m.start_row).collect(),
-            tail_base: self.sealed_rows(),
-            tail: &self.tail,
-            num_rows: self.num_rows(),
-        })
-    }
 }
 
 impl Drop for SegmentedDataset {
@@ -744,61 +726,6 @@ impl std::fmt::Debug for SegmentedDataset {
             .field("sealed_rows", &self.sealed_rows())
             .field("tail_rows", &self.tail.num_rows())
             .finish()
-    }
-}
-
-/// Random-access view chaining the per-segment datasets and the tail.
-///
-/// Row indices are global: `value(r, c)` resolves `r` to the owning part
-/// with a binary search over the segment start rows.
-pub struct SegmentedView<'a> {
-    parts: Vec<Arc<Dataset>>,
-    bases: Vec<usize>,
-    tail_base: usize,
-    tail: &'a Dataset,
-    num_rows: usize,
-}
-
-impl SegmentedView<'_> {
-    /// Total rows across all parts.
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    /// The part owning global row `row`, and the row's local index.
-    pub fn locate(&self, row: usize) -> (&Dataset, usize) {
-        assert!(row < self.num_rows, "row {row} out of bounds");
-        if row >= self.tail_base {
-            return (self.tail, row - self.tail_base);
-        }
-        let part = self.bases.partition_point(|&b| b <= row) - 1;
-        (&self.parts[part], row - self.bases[part])
-    }
-
-    /// Materializes the cell at global (`row`, `col`).
-    pub fn value(&self, row: usize, col: usize) -> Value {
-        let (part, local) = self.locate(row);
-        part.value(local, col)
-    }
-
-    /// Numeric view of the cell at global (`row`, `col`).
-    pub fn f64(&self, row: usize, col: usize) -> Option<f64> {
-        let (part, local) = self.locate(row);
-        part.col(col).f64(local)
-    }
-
-    /// The parts in row order — sealed segments, then the non-empty tail
-    /// — each with its global start row.
-    pub fn parts(&self) -> impl Iterator<Item = (&Dataset, usize)> {
-        self.parts
-            .iter()
-            .map(|p| p.as_ref())
-            .zip(self.bases.iter().copied())
-            .chain(
-                (!self.tail.is_empty())
-                    .then_some(self.tail)
-                    .map(|t| (t, self.tail_base)),
-            )
     }
 }
 
@@ -846,21 +773,12 @@ mod tests {
     }
 
     #[test]
-    fn from_dataset_round_trips_through_view() {
+    fn from_dataset_round_trips_through_materialize() {
         let d = sample(75);
         let seg = SegmentedDataset::from_dataset(&d, 30);
         assert_eq!(seg.num_segments(), 2);
         assert_eq!(seg.tail().num_rows(), 15);
-        let view = seg.view().unwrap();
-        assert_eq!(view.num_rows(), 75);
-        for i in 0..75 {
-            for c in 0..d.num_columns() {
-                match (d.value(i, c), view.value(i, c)) {
-                    (Value::Float(x), Value::Float(y)) => assert_eq!(x.to_bits(), y.to_bits()),
-                    (x, y) => assert_eq!(x, y),
-                }
-            }
-        }
+        assert_bit_identical(&seg.materialize().unwrap(), &d);
     }
 
     #[test]

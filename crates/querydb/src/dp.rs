@@ -21,7 +21,6 @@ use rngkit::rngs::StdRng;
 use rngkit::SeedableRng;
 use std::collections::BTreeMap;
 use tdf_microdata::rng::laplace;
-use tdf_microdata::Dataset;
 
 /// A Laplace-mechanism answering policy with budget tracking.
 #[derive(Debug)]
@@ -76,15 +75,8 @@ impl DpPolicy {
         self.spent + self.epsilon_per_query > self.budget + 1e-12
     }
 
-    /// Answers one evaluated query under ε-DP.
-    pub fn apply(&mut self, _data: &Dataset, query: &Query, eval: &Evaluation) -> Answer {
-        self.apply_eval(query, eval)
-    }
-
-    /// [`DpPolicy::apply`] without the dataset handle. The mechanism only
-    /// reads the evaluation (value + query-set size) and the declared
-    /// ranges, so callers evaluating out-of-core — where no monolithic
-    /// [`Dataset`] exists — use this entry point.
+    /// Answers one evaluated query under ε-DP, from the evaluation (value
+    /// and query-set size) and the declared ranges alone.
     pub fn apply_eval(&mut self, query: &Query, eval: &Evaluation) -> Answer {
         let answer = self.answer(query, eval);
         match &answer {
@@ -132,12 +124,12 @@ mod tests {
     use super::*;
     use crate::engine::evaluate;
     use crate::parser::parse;
-    use tdf_microdata::patients;
+    use tdf_microdata::{patients, Dataset};
 
     fn ask(policy: &mut DpPolicy, data: &Dataset, src: &str) -> Answer {
         let q = parse(src).unwrap();
         let e = evaluate(data, &q).unwrap();
-        policy.apply(data, &q, &e)
+        policy.apply_eval(&q, &e)
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Query evaluation over a microdata dataset.
 
 use crate::ast::{Aggregate, CmpOp, Predicate, Query};
+use std::cmp::Ordering;
 use tdf_microdata::{ColumnView, Dataset, Error, Result, Schema, SegmentedDataset, Value};
 
 /// The evaluation of one query: its query set and exact aggregate value.
@@ -71,67 +72,15 @@ pub fn evaluate_with_limits(
     query: &Query,
     limits: &QueryLimits,
 ) -> Result<Evaluation> {
-    // Resolve the aggregate attribute early so bad queries fail loudly.
-    let agg_col = match query.aggregate.attribute() {
-        Some(name) => {
-            let idx = data.schema().index_of(name)?;
-            if !data.schema().attribute(idx).kind.is_numeric() {
-                return Err(Error::NotNumeric(name.to_owned()));
-            }
-            Some(idx)
-        }
-        None => None,
-    };
-
-    // Attribute names are resolved to column views once; the per-row scan
-    // below then reads cells straight out of the columnar storage.
-    let _span = obs::span("querydb.evaluate");
-    obs::count("querydb.queries", 1);
-    if let Some(max_rows) = limits.max_rows {
-        let needed = data.num_rows() as u64;
-        if needed > max_rows {
-            obs::count("querydb.deadline_refusals", 1);
-            return Err(Error::ResourceExhausted(format!(
-                "query needs {needed} row scans but its deadline allows {max_rows}"
-            )));
-        }
-    }
-    obs::count("querydb.rows_scanned", data.num_rows() as u64);
-    let compiled = CompiledPredicate::compile(&query.predicate, data)?;
-    let mut query_set = Vec::new();
-    for i in 0..data.num_rows() {
-        if compiled.matches(i) {
-            query_set.push(i);
-        }
-    }
-
-    let values = || -> Vec<f64> {
-        let col = agg_col.expect("aggregate reads an attribute");
-        let cells = data.f64_cells(col).expect("numeric column");
-        query_set.iter().filter_map(|&i| cells.get(i)).collect()
-    };
-
-    let value = match &query.aggregate {
-        Aggregate::Count => Some(query_set.len() as f64),
-        Aggregate::Sum(_) => Some(values().iter().sum()),
-        Aggregate::Avg(_) => {
-            let v = values();
-            if v.is_empty() {
-                None
-            } else {
-                Some(v.iter().sum::<f64>() / v.len() as f64)
-            }
-        }
-        Aggregate::Min(_) => values().into_iter().min_by(f64::total_cmp),
-        Aggregate::Max(_) => values().into_iter().max_by(f64::total_cmp),
-    };
-    Ok(Evaluation { query_set, value })
+    let mut fold = Fold::begin(query, data.schema(), data.num_rows(), limits)?;
+    fold.part(data, 0)?;
+    Ok(fold.finish())
 }
 
 /// [`evaluate`] over a [`SegmentedDataset`], streaming one part at a time
-/// under the ambient limits. Results are bit-identical to evaluating the
-/// materialized dataset: global row indices are `part start + local`, and
-/// every aggregate folds in row order exactly as the monolithic path does.
+/// under the ambient limits. Global row indices are `part start + local`,
+/// and the aggregate folds across parts in row order, so the result is the
+/// one the materialized table gives.
 pub fn evaluate_segmented(data: &SegmentedDataset, query: &Query) -> Result<Evaluation> {
     evaluate_segmented_with_limits(data, query, &QueryLimits::ambient())
 }
@@ -144,74 +93,107 @@ pub fn evaluate_segmented_with_limits(
     query: &Query,
     limits: &QueryLimits,
 ) -> Result<Evaluation> {
-    let agg_col = match query.aggregate.attribute() {
-        Some(name) => {
-            let idx = data.schema().index_of(name)?;
-            if !data.schema().attribute(idx).kind.is_numeric() {
-                return Err(Error::NotNumeric(name.to_owned()));
+    let mut fold = Fold::begin(query, data.schema(), data.num_rows(), limits)?;
+    data.for_each_part(|part, base| fold.part(part, base))?;
+    Ok(fold.finish())
+}
+
+/// The one query evaluator. A front opens a fold over the whole table and
+/// feeds it every part, in row order, with the part's global start row.
+/// Sum and Avg left-fold from `+0.0` in row order; Min and Max select
+/// under `f64::total_cmp`, whose ties are bit-identical values, so part
+/// boundaries cannot show in the result.
+struct Fold<'q> {
+    query: &'q Query,
+    agg_col: Option<usize>,
+    /// The ordering that makes a cell the new extreme: `Less` for Min.
+    wins: Ordering,
+    query_set: Vec<usize>,
+    sum: f64,
+    present: usize,
+    extreme: Option<f64>,
+    _span: obs::Span,
+}
+
+impl<'q> Fold<'q> {
+    /// Checks the query against `schema` and charges the deadline for all
+    /// `rows` of the table before any part is read.
+    fn begin(query: &'q Query, schema: &Schema, rows: usize, limits: &QueryLimits) -> Result<Self> {
+        // Resolve the aggregate attribute early so bad queries fail loudly.
+        let agg_col = match query.aggregate.attribute() {
+            Some(name) => {
+                let idx = schema.index_of(name)?;
+                if !schema.attribute(idx).kind.is_numeric() {
+                    return Err(Error::NotNumeric(name.to_owned()));
+                }
+                Some(idx)
             }
-            Some(idx)
-        }
-        None => None,
-    };
+            None => None,
+        };
 
-    let _span = obs::span("querydb.evaluate");
-    obs::count("querydb.queries", 1);
-    if let Some(max_rows) = limits.max_rows {
-        let needed = data.num_rows() as u64;
-        if needed > max_rows {
-            obs::count("querydb.deadline_refusals", 1);
-            return Err(Error::ResourceExhausted(format!(
-                "query needs {needed} row scans but its deadline allows {max_rows}"
-            )));
+        let span = obs::span("querydb.evaluate");
+        obs::count("querydb.queries", 1);
+        if let Some(max_rows) = limits.max_rows {
+            if rows as u64 > max_rows {
+                obs::count("querydb.deadline_refusals", 1);
+                return Err(Error::ResourceExhausted(format!(
+                    "query needs {rows} row scans but its deadline allows {max_rows}"
+                )));
+            }
         }
+        obs::count("querydb.rows_scanned", rows as u64);
+        // The predicate compiles per part, so its names are checked once
+        // here: a bad query must fail even when every part is empty.
+        check_predicate_names(&query.predicate, schema)?;
+        Ok(Fold {
+            query,
+            agg_col,
+            wins: match query.aggregate {
+                Aggregate::Min(_) => Ordering::Less,
+                _ => Ordering::Greater,
+            },
+            query_set: Vec::new(),
+            sum: 0.0,
+            present: 0,
+            extreme: None,
+            _span: span,
+        })
     }
-    obs::count("querydb.rows_scanned", data.num_rows() as u64);
-    // The predicate compiles per part (views borrow that part's columns),
-    // so name resolution is checked once against the shared schema first —
-    // a bad query must fail even when every part happens to be empty.
-    check_predicate_names(&query.predicate, data.schema())?;
 
-    let mut query_set = Vec::new();
-    // Running fold state. Sum and Avg left-fold from 0.0 in row order, and
-    // Min/Max compare with `f64::total_cmp`, matching the monolithic
-    // `iter().sum()` / `min_by` bit for bit (total_cmp ties are
-    // bit-identical values, so tie-breaking order cannot matter).
-    let mut sum = 0.0f64;
-    let mut present = 0usize;
-    let mut extreme: Option<f64> = None;
-    let want_min = matches!(query.aggregate, Aggregate::Min(_));
-    data.for_each_part(|part, base| {
-        let compiled = CompiledPredicate::compile(&query.predicate, part)?;
-        let cells = agg_col.map(|c| part.f64_cells(c).expect("numeric column"));
-        for i in 0..part.num_rows() {
+    /// Scans one part whose first row is global row `base`.
+    fn part(&mut self, data: &Dataset, base: usize) -> Result<()> {
+        // Attribute names resolve to column views once per part; the row
+        // loop then reads cells straight out of the columnar storage.
+        let compiled = CompiledPredicate::compile(&self.query.predicate, data)?;
+        let cells = self.agg_col.map(|c| data.f64_cells(c).expect("numeric"));
+        for i in 0..data.num_rows() {
             if !compiled.matches(i) {
                 continue;
             }
-            query_set.push(base + i);
-            if let Some(cells) = &cells {
-                if let Some(v) = cells.get(i) {
-                    sum += v;
-                    present += 1;
-                    extreme = Some(match extreme {
-                        None => v,
-                        Some(b) if want_min && v.total_cmp(&b).is_lt() => v,
-                        Some(b) if !want_min && v.total_cmp(&b).is_gt() => v,
-                        Some(b) => b,
-                    });
+            self.query_set.push(base + i);
+            if let Some(v) = cells.as_ref().and_then(|c| c.get(i)) {
+                self.sum += v;
+                self.present += 1;
+                if self.extreme.is_none_or(|b| v.total_cmp(&b) == self.wins) {
+                    self.extreme = Some(v);
                 }
             }
         }
         Ok(())
-    })?;
+    }
 
-    let value = match &query.aggregate {
-        Aggregate::Count => Some(query_set.len() as f64),
-        Aggregate::Sum(_) => Some(sum),
-        Aggregate::Avg(_) => (present > 0).then(|| sum / present as f64),
-        Aggregate::Min(_) | Aggregate::Max(_) => extreme,
-    };
-    Ok(Evaluation { query_set, value })
+    fn finish(self) -> Evaluation {
+        let value = match &self.query.aggregate {
+            Aggregate::Count => Some(self.query_set.len() as f64),
+            Aggregate::Sum(_) => Some(self.sum),
+            Aggregate::Avg(_) => (self.present > 0).then(|| self.sum / self.present as f64),
+            Aggregate::Min(_) | Aggregate::Max(_) => self.extreme,
+        };
+        Evaluation {
+            query_set: self.query_set,
+            value,
+        }
+    }
 }
 
 /// Resolves every attribute the predicate mentions against `schema`,
@@ -287,12 +269,12 @@ impl<'a> CompiledPredicate<'a> {
                 }
                 let ord = view.cmp_value(i, literal);
                 match op {
-                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => ord != std::cmp::Ordering::Equal,
+                    CmpOp::Lt => ord.is_lt(),
+                    CmpOp::Le => ord.is_le(),
+                    CmpOp::Gt => ord.is_gt(),
+                    CmpOp::Ge => ord.is_ge(),
+                    CmpOp::Eq => ord.is_eq(),
+                    CmpOp::Ne => ord.is_ne(),
                 }
             }
             CompiledPredicate::And(a, b) => a.matches(i) && b.matches(i),
@@ -302,11 +284,7 @@ impl<'a> CompiledPredicate<'a> {
                 if view.is_missing(i) {
                     return false;
                 }
-                // `group_eq` is `total_cmp == Equal`, so the packed compare
-                // matches the row-slice evaluator exactly.
-                values
-                    .iter()
-                    .any(|v| view.cmp_value(i, v) == std::cmp::Ordering::Equal)
+                values.iter().any(|v| view.cmp_value(i, v).is_eq())
             }
         }
     }

@@ -107,7 +107,7 @@ props! {
                 .map(|src| {
                     let q = dbpriv::querydb::parser::parse(src).unwrap();
                     let e = dbpriv::querydb::engine::evaluate(&d, &q).unwrap();
-                    dp_policy.apply(&d, &q, &e)
+                    dp_policy.apply_eval(&q, &e)
                 })
                 .collect();
             (exact, dp)
