@@ -93,11 +93,12 @@ step "cargo fmt --check"
 step "cargo clippy (offline, -D warnings)"
 "$CARGO" clippy --workspace --all-targets --offline -- -D warnings
 
-step "cargo doc -p tdf-par -p tdf-pir (offline, -D warnings)"
-# Intra-doc links to removed tdf-par entry points and PIR sweeps must not
-# dangle. Only these crates: elsewhere `[n]` citation brackets still read
-# as broken links.
-RUSTDOCFLAGS="-D warnings" "$CARGO" doc -p tdf-par -p tdf-pir --no-deps --offline
+step "cargo doc -p tdf-par -p tdf-pir -p tdf-querydb -p tdf-microdata (offline, -D warnings)"
+# Intra-doc links to removed entry points (tdf-par's, the PIR sweeps, the
+# second query evaluator's) must not dangle. Only these crates: elsewhere
+# unescaped `[n]` citation brackets still read as broken links.
+RUSTDOCFLAGS="-D warnings" "$CARGO" doc -p tdf-par -p tdf-pir -p tdf-querydb -p tdf-microdata \
+  --no-deps --offline
 
 if [[ "$QUICK" -eq 0 ]]; then
   step "cargo build --release --offline"

@@ -24,7 +24,7 @@ impl AttributeKind {
 }
 
 /// Disclosure role of an attribute, following the taxonomy of §2 of the
-/// paper (after Dalenius [9] and Samarati [20]).
+/// paper (after Dalenius \[9\] and Samarati \[20\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttributeRole {
     /// Directly identifies the respondent; removed before any processing.

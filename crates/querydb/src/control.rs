@@ -54,11 +54,11 @@ pub enum ControlPolicy {
         /// Minimum (and complement-minimum) query-set size.
         min_size: usize,
     },
-    /// Chin–Ozsoyoglu exact auditing [7] of one protected attribute:
+    /// Chin–Ozsoyoglu exact auditing \[7\] of one protected attribute:
     /// refuse any SUM/AVG whose answer would make some respondent's value
     /// of that attribute uniquely determined.
     Audit(Auditor),
-    /// Duncan–Mukherjee output perturbation [14]: answer everything, plus
+    /// Duncan–Mukherjee output perturbation \[14\]: answer everything, plus
     /// Gaussian noise of standard deviation `sd` (deterministic per seed).
     Noise {
         /// Noise standard deviation.
@@ -66,7 +66,7 @@ pub enum ControlPolicy {
         /// RNG for the noise stream.
         rng: StdRng,
     },
-    /// CVC-style interval answers [16]: return `[v·(1−γ), v·(1+γ)]`
+    /// CVC-style interval answers \[16\]: return `[v·(1−γ), v·(1+γ)]`
     /// (widened symmetrically for values near zero).
     Interval {
         /// Relative half-width of the interval.

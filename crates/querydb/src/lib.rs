@@ -12,11 +12,11 @@
 //! * [`ast`] / [`parser`] — the mini-SQL the examples in §3 are written in;
 //! * [`engine`] — evaluation over a `tdf-microdata` dataset;
 //! * [`control`] — inference-control policies: none, query-set-size
-//!   restriction, exact auditing (Chin–Ozsoyoglu [7], on the exact
+//!   restriction, exact auditing (Chin–Ozsoyoglu \[7\], on the exact
 //!   rational algebra of `tdf-mathkit`), output perturbation
-//!   (Duncan–Mukherjee [14]), and interval answers (CVC-style [16]);
+//!   (Duncan–Mukherjee \[14\]), and interval answers (CVC-style \[16\]);
 //! * [`statdb`] — the database front-end, with the owner's query log;
-//! * [`tracker`] — the Schlörer tracker attack [22] that defeats naive
+//! * [`tracker`] — the Schlörer tracker attack \[22\] that defeats naive
 //!   size restriction;
 //! * [`dp`] — a differentially-private answering policy with budget
 //!   accounting, the field's post-2007 answer to this dilemma (included as

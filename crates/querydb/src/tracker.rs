@@ -1,4 +1,4 @@
-//! The Schlörer tracker attack [22].
+//! The Schlörer tracker attack \[22\].
 //!
 //! Query-set-size restriction refuses queries whose sets are too small or
 //! too large — but a *tracker* predicate `T` of comfortable size lets the

@@ -16,8 +16,8 @@
 //! grows the mutable tail with records deterministic per global row
 //! index, `SEAL` freezes the tail into a sealed segment that may spill
 //! to disk under the `TDF_SEGCACHE` budget, and queries stream the
-//! segments under a read lock (`evaluate_segmented`, bit-identical to
-//! the monolithic evaluator).
+//! segments under a read lock (`evaluate_segmented`, the one query
+//! evaluator that also answers an in-memory `Dataset`).
 //!
 //! **Shutdown** flips the draining flag, wakes the accept loop with a
 //! self-connection, severs the *read* half of every active connection
