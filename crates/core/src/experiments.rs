@@ -55,8 +55,8 @@ pub fn e1_respondent_without_owner() -> Result<ExperimentOutcome> {
     })
 }
 
-/// E2 — §2 "respondent and owner privacy": masking (noise [5] /
-/// condensation [1]) protects both while keeping the data analytically
+/// E2 — §2 "respondent and owner privacy": masking (noise \[5\] /
+/// condensation \[1\]) protects both while keeping the data analytically
 /// useful.
 pub fn e2_masking_protects_both() -> Result<ExperimentOutcome> {
     let d = synth_patients(&PatientConfig {
@@ -88,7 +88,7 @@ pub fn e2_masking_protects_both() -> Result<ExperimentOutcome> {
 
 /// E3 — §2 "owner privacy without respondent privacy", both variants:
 /// (a) releasing a single Dataset 2 record violates the respondent but not
-/// the owner; (b) the [11] sparsity attack on noise addition.
+/// the owner; (b) the \[11\] sparsity attack on noise addition.
 pub fn e3_owner_without_respondent() -> Result<ExperimentOutcome> {
     // (a) single-record release from Dataset 2.
     let d = patients::dataset2();
@@ -111,7 +111,7 @@ pub fn e3_owner_without_respondent() -> Result<ExperimentOutcome> {
 }
 
 /// E4 — §3 "respondent privacy without user privacy": interactive SDC.
-/// The size filter is defeated by the tracker [22]; exact auditing [7]
+/// The size filter is defeated by the tracker \[22\]; exact auditing \[7\]
 /// stops it; either way the owner logs every query — zero user privacy.
 pub fn e4_interactive_sdc() -> Result<ExperimentOutcome> {
     let target =

@@ -9,14 +9,14 @@ pub enum TechnologyClass {
     /// Statistical disclosure control by data masking [17, 26].
     Sdc,
     /// Use-specific non-cryptographic PPDM (e.g. Agrawal–Srikant noise for
-    /// decision trees [5], rule hiding [25]).
+    /// decision trees \[5\], rule hiding \[25\]).
     UseSpecificNonCryptoPpdm,
     /// Generic non-cryptographic PPDM (e.g. k-anonymization by
     /// microaggregation/condensation [1, 2, 12]).
     GenericNonCryptoPpdm,
     /// Cryptographic PPDM: secure multiparty computation [18, 19].
     CryptoPpdm,
-    /// Private information retrieval alone [8].
+    /// Private information retrieval alone \[8\].
     Pir,
     /// SDC masking with PIR access.
     SdcPlusPir,

@@ -1,7 +1,7 @@
 //! Abstract syntax of the mini statistical query language.
 
 use std::fmt;
-use tdf_microdata::{Dataset, Result, Value};
+use tdf_microdata::Value;
 
 /// Aggregate functions supported by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,44 +115,6 @@ impl Predicate {
             hi,
         ))
     }
-
-    /// Evaluates the predicate on a row of `data`'s schema.
-    pub fn matches(&self, data: &Dataset, row: &[Value]) -> Result<bool> {
-        match self {
-            Predicate::True => Ok(true),
-            Predicate::Cmp {
-                attribute,
-                op,
-                literal,
-            } => {
-                let idx = data.schema().index_of(attribute)?;
-                let cell = &row[idx];
-                if cell.is_missing() {
-                    return Ok(false); // suppressed cells match nothing
-                }
-                let ord = cell.total_cmp(literal);
-                Ok(match op {
-                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                })
-            }
-            Predicate::And(a, b) => Ok(a.matches(data, row)? && b.matches(data, row)?),
-            Predicate::Or(a, b) => Ok(a.matches(data, row)? || b.matches(data, row)?),
-            Predicate::Not(p) => Ok(!p.matches(data, row)?),
-            Predicate::In { attribute, values } => {
-                let idx = data.schema().index_of(attribute)?;
-                let cell = &row[idx];
-                if cell.is_missing() {
-                    return Ok(false);
-                }
-                Ok(values.iter().any(|v| cell.group_eq(v)))
-            }
-        }
-    }
 }
 
 /// A full statistical query.
@@ -233,52 +195,6 @@ impl fmt::Display for Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdf_microdata::patients;
-
-    #[test]
-    fn predicate_evaluation_matches_paper_example() {
-        let d = patients::dataset2();
-        let p = Predicate::cmp("height", CmpOp::Lt, 165.0).and(Predicate::cmp(
-            "weight",
-            CmpOp::Gt,
-            105.0,
-        ));
-        let matching: Vec<usize> = (0..d.num_rows())
-            .filter(|&i| p.matches(&d, &d.row(i)).unwrap())
-            .collect();
-        assert_eq!(matching, vec![patients::DATASET2_ISOLATED_ROW]);
-    }
-
-    #[test]
-    fn boolean_and_negation() {
-        let d = patients::dataset1();
-        let p = Predicate::cmp("aids", CmpOp::Eq, true);
-        let n = (0..d.num_rows())
-            .filter(|&i| p.matches(&d, &d.row(i)).unwrap())
-            .count();
-        assert_eq!(n, 3);
-        let np = p.not();
-        let m = (0..d.num_rows())
-            .filter(|&i| np.matches(&d, &d.row(i)).unwrap())
-            .count();
-        assert_eq!(m, 7);
-    }
-
-    #[test]
-    fn missing_cells_never_match() {
-        let mut d = patients::dataset1();
-        d.set_value(0, 0, Value::Missing).unwrap();
-        let p = Predicate::cmp("height", CmpOp::Gt, 0.0);
-        assert!(!p.matches(&d, &d.row(0)).unwrap());
-        assert!(p.matches(&d, &d.row(1)).unwrap());
-    }
-
-    #[test]
-    fn unknown_attribute_is_an_error() {
-        let d = patients::dataset1();
-        let p = Predicate::cmp("zip", CmpOp::Eq, 1.0);
-        assert!(p.matches(&d, &d.row(0)).is_err());
-    }
 
     #[test]
     fn display_round_trips_visually() {

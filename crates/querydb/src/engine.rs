@@ -296,6 +296,13 @@ mod tests {
     use crate::parser::parse;
     use tdf_microdata::patients;
 
+    fn count_where(predicate: Predicate) -> Query {
+        Query {
+            aggregate: Aggregate::Count,
+            predicate,
+        }
+    }
+
     #[test]
     fn the_papers_isolation_queries_return_1_and_146() {
         // §3: "The first query tells the user that there is only one
@@ -303,12 +310,14 @@ mod tests {
         // 105 kg ... the average blood pressure 146 returned by the second
         // query corresponds to that single individual."
         let d = patients::dataset2();
-        let count = evaluate(
-            &d,
-            &parse("SELECT COUNT(*) FROM t WHERE height < 165 AND weight > 105").unwrap(),
-        )
-        .unwrap();
+        let p = Predicate::cmp("height", CmpOp::Lt, 165.0).and(Predicate::cmp(
+            "weight",
+            CmpOp::Gt,
+            105.0,
+        ));
+        let count = evaluate(&d, &count_where(p)).unwrap();
         assert_eq!(count.value, Some(1.0));
+        assert_eq!(count.query_set, vec![patients::DATASET2_ISOLATED_ROW]);
         let avg = evaluate(
             &d,
             &parse("SELECT AVG(blood_pressure) FROM t WHERE height < 165 AND weight > 105")
@@ -317,6 +326,25 @@ mod tests {
         .unwrap();
         assert_eq!(avg.value, Some(146.0));
         assert_eq!(avg.query_set, vec![patients::DATASET2_ISOLATED_ROW]);
+    }
+
+    #[test]
+    fn boolean_and_negation() {
+        let d = patients::dataset1();
+        let p = Predicate::cmp("aids", CmpOp::Eq, true);
+        let set_size = |p: Predicate| evaluate(&d, &count_where(p)).unwrap().query_set.len();
+        assert_eq!(set_size(p.clone()), 3);
+        assert_eq!(set_size(p.not()), 7);
+    }
+
+    #[test]
+    fn missing_cells_never_match() {
+        let mut d = patients::dataset1();
+        d.set_value(0, 0, Value::Missing).unwrap();
+        let p = Predicate::cmp("height", CmpOp::Gt, 0.0);
+        let e = evaluate(&d, &count_where(p)).unwrap();
+        assert!(!e.query_set.contains(&0));
+        assert!(e.query_set.contains(&1));
     }
 
     #[test]
@@ -394,6 +422,8 @@ mod tests {
         assert!(evaluate(&d, &q).is_err());
         let q2 = parse("SELECT COUNT(*) FROM t WHERE salary > 3").unwrap();
         assert!(evaluate(&d, &q2).is_err());
+        let q3 = count_where(Predicate::cmp("zip", CmpOp::Eq, 1.0));
+        assert!(evaluate(&d, &q3).is_err());
     }
 
     #[test]

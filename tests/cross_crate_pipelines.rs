@@ -124,9 +124,10 @@ fn pir_served_statistics_match_direct_statistics() {
         let q = dbpriv::querydb::parser::parse(src).unwrap();
         let private = deployment.private_query(&mut rng, &q).unwrap();
         let direct = db.query(q).unwrap().point();
-        match (private, direct) {
-            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{src}: {a} vs {b}"),
-            (a, b) => assert_eq!(a.is_none(), b.is_none(), "{src}: {a:?} vs {b:?}"),
-        }
+        assert_eq!(
+            private.map(f64::to_bits),
+            direct.map(f64::to_bits),
+            "{src}: {private:?} vs {direct:?}"
+        );
     }
 }
