@@ -728,6 +728,16 @@ impl<'a> ColumnView<'a> {
         }
     }
 
+    /// The missing bitmap.
+    pub fn missing(&self) -> &'a Bitmap {
+        match *self {
+            ColumnView::Float(c) => c.missing(),
+            ColumnView::Int(c) => c.missing(),
+            ColumnView::Bool(c) => c.missing(),
+            ColumnView::Cat(c) => c.missing(),
+        }
+    }
+
     /// Materializes cell `i` into an owned [`Value`].
     pub fn get(&self, i: usize) -> Value {
         match self {

@@ -1,5 +1,6 @@
 //! Abstract syntax of the mini statistical query language.
 
+use std::cmp::Ordering;
 use std::fmt;
 use tdf_microdata::Value;
 
@@ -45,6 +46,21 @@ pub enum CmpOp {
     Eq,
     /// `!=`
     Ne,
+}
+
+impl CmpOp {
+    /// True when a cell that orders `ord` against the literal (under
+    /// `Value::total_cmp`) satisfies the comparison.
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+        }
+    }
 }
 
 /// A selection predicate.

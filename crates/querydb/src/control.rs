@@ -151,13 +151,12 @@ impl ControlPolicy {
                 if eval.query_set.len() < *min_size {
                     return Answer::Refused("query set below minimum size");
                 }
-                let current = QuerySetHistory::pack(&eval.query_set);
-                if history.overlaps(&current, *max_overlap) {
+                if history.overlaps(eval.query_set.bits(), *max_overlap) {
                     return Answer::Refused("query set overlaps an answered query too much");
                 }
                 match eval.value {
                     Some(v) => {
-                        history.record(current);
+                        history.record(eval.query_set.bits().clone());
                         Answer::Exact(v)
                     }
                     None => Answer::Refused("aggregate undefined on empty query set"),
@@ -190,18 +189,6 @@ pub struct QuerySetHistory {
 }
 
 impl QuerySetHistory {
-    /// Packs an ascending query set (an [`Evaluation::query_set`]) into the
-    /// bitmap [`QuerySetHistory::overlaps`] and
-    /// [`QuerySetHistory::record`] take.
-    pub fn pack(query_set: &[usize]) -> Bitmap {
-        debug_assert!(query_set.windows(2).all(|w| w[0] < w[1]), "ascending");
-        let mut bits = Bitmap::zeros(query_set.last().map_or(0, |&i| i + 1));
-        for &i in query_set {
-            bits.set(i, true);
-        }
-        bits
-    }
-
     /// True when `current` shares more than `max_overlap` rows with some
     /// answered set.
     pub fn overlaps(&self, current: &Bitmap, max_overlap: usize) -> bool {
@@ -282,7 +269,7 @@ impl Auditor {
                 };
                 // The linear equation this answer would hand the user.
                 let mut row = vec![Rational::zero(); data.num_rows()];
-                for &i in &eval.query_set {
+                for i in eval.query_set.iter() {
                     row[i] = Rational::one();
                 }
                 // Exact rational right-hand side, recomputed from data.
@@ -294,7 +281,7 @@ impl Auditor {
                 let rhs = eval
                     .query_set
                     .iter()
-                    .map(|&i| self.to_rational(view.f64(i).unwrap_or(0.0)))
+                    .map(|i| self.to_rational(view.f64(i).unwrap_or(0.0)))
                     .fold(Rational::zero(), |a, b| a.add_ref(&b));
 
                 // Would answering disclose any single respondent's value?

@@ -33,5 +33,5 @@ pub mod tracker;
 
 pub use ast::{Aggregate, Predicate, Query};
 pub use control::{Answer, ControlPolicy, QuerySetHistory};
-pub use engine::{evaluate, evaluate_segmented, Evaluation, QueryLimits};
+pub use engine::{evaluate, evaluate_segmented, Evaluation, QueryLimits, QuerySet};
 pub use statdb::StatDb;

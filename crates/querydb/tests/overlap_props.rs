@@ -5,9 +5,9 @@
 
 use check::prelude::*;
 use std::collections::BTreeSet;
-use tdf_microdata::patients;
+use tdf_microdata::{patients, Bitmap};
 use tdf_querydb::parser::parse;
-use tdf_querydb::{Answer, ControlPolicy, Evaluation};
+use tdf_querydb::{Answer, ControlPolicy, Evaluation, QuerySet};
 
 const MIN_SIZE: usize = 2;
 
@@ -32,6 +32,16 @@ fn query_sets(steps: &[Step]) -> Vec<Vec<usize>> {
                 .collect()
         })
         .collect()
+}
+
+/// The query set of the ascending rows `set`, over a table that ends at
+/// its last row.
+fn query_set(set: &[usize]) -> QuerySet {
+    let mut bits = Bitmap::zeros(set.last().map_or(0, |&i| i + 1));
+    for &i in set {
+        bits.set(i, true);
+    }
+    QuerySet::from(bits)
 }
 
 /// The old representation's verdict: refuse below the size floor or on
@@ -93,7 +103,7 @@ props! {
                 .zip(&defined)
                 .map(|(set, &defined)| {
                     let eval = Evaluation {
-                        query_set: set.clone(),
+                        query_set: query_set(set),
                         value: defined.then_some(set.len() as f64),
                     };
                     !policy.apply(&data, &query, &eval).is_refused()
@@ -108,9 +118,9 @@ props! {
 fn refusal_messages_are_unchanged() {
     let data = patients::dataset1();
     let query = parse("SELECT COUNT(*) FROM t").unwrap();
-    let eval = |query_set: Vec<usize>| Evaluation {
-        value: Some(query_set.len() as f64),
-        query_set,
+    let eval = |set: Vec<usize>| Evaluation {
+        value: Some(set.len() as f64),
+        query_set: query_set(&set),
     };
     let mut policy = ControlPolicy::overlap(2, 1);
     assert_eq!(

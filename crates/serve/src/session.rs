@@ -133,8 +133,10 @@ impl UserSession {
         if eval.query_set.len() < self.min_query_set {
             return refuse(RefusalReason::Policy, "query set below minimum size");
         }
-        let current = QuerySetHistory::pack(&eval.query_set);
-        if self.answered.overlaps(&current, self.max_overlap) {
+        if self
+            .answered
+            .overlaps(eval.query_set.bits(), self.max_overlap)
+        {
             return refuse(
                 RefusalReason::Tracker,
                 "tracker pattern detected: query set overlaps an answered query",
@@ -143,30 +145,23 @@ impl UserSession {
         // Read before the answer: an exhausted policy refuses for the
         // budget, any other refusal is about the query itself.
         let exhausted = self.dp.exhausted();
-        match self.dp.apply_eval(&query, &eval) {
+        let response = match self.dp.apply_eval(&query, &eval) {
             Answer::Refused(msg) => {
                 let reason = if exhausted {
                     RefusalReason::Budget
                 } else {
                     RefusalReason::Other
                 };
-                refuse(reason, msg)
+                return refuse(reason, msg);
             }
-            Answer::Perturbed(v) => {
-                self.answered.record(current);
-                Response::Perturbed(v)
-            }
+            Answer::Perturbed(v) => Response::Perturbed(v),
             // DpPolicy only produces Perturbed or Refused; keep the match
             // exhaustive so a policy change here is a compile error.
-            Answer::Exact(v) => {
-                self.answered.record(current);
-                Response::Exact(v)
-            }
-            Answer::Interval(lo, hi) => {
-                self.answered.record(current);
-                Response::Interval(lo, hi)
-            }
-        }
+            Answer::Exact(v) => Response::Exact(v),
+            Answer::Interval(lo, hi) => Response::Interval(lo, hi),
+        };
+        self.answered.record(eval.query_set.into_bits());
+        response
     }
 }
 

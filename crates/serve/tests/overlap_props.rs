@@ -107,7 +107,7 @@ props! {
         let mut sets = Vec::new();
         replay(seed, &steps, |data, sql| {
             let query = parse(sql).unwrap();
-            sets.push(evaluate_segmented(data, &query).unwrap().query_set);
+            sets.push(evaluate_segmented(data, &query).unwrap().query_set.iter().collect());
         });
         for max_overlap in thresholds(&sets, pick) {
             let cfg = SessionConfig {

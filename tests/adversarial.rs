@@ -119,7 +119,7 @@ fn auditor_survives_a_hostile_query_storm() {
         let eval = dbpriv::querydb::engine::evaluate(&data, &q).unwrap();
         if let Ok(a) = db.query(q) {
             if let Some(v) = a.point() {
-                answered.push((eval.query_set, v));
+                answered.push((eval.query_set.iter().collect(), v));
             }
         }
     }
