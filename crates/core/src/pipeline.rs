@@ -23,7 +23,7 @@ use tdf_microdata::{AttributeKind, Dataset, Error, Result, Value};
 use tdf_pir::cost::CostReport;
 use tdf_pir::store::Database;
 use tdf_querydb::ast::Query;
-use tdf_querydb::engine::{evaluate_with_limits, QueryLimits};
+use tdf_querydb::engine::{check_query, evaluate_with_limits, QueryLimits};
 use tdf_sdc::microaggregation::mdav_microaggregate;
 
 /// Serializes a dataset's rows into fixed-size PIR records: numeric cells
@@ -214,11 +214,16 @@ impl ThreeDimensionalDb {
     /// The evaluation is [`QueryLimits::unlimited`]: the injected
     /// `querydb.deadline` is a *server's* row allowance, and the client has
     /// already paid for its fetches.
+    ///
+    /// A query the release's schema cannot answer (an unknown attribute, a
+    /// non-numeric aggregate) is rejected by [`check_query`] before any
+    /// record is fetched, with the error evaluation would give.
     pub fn private_query<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         query: &Query,
     ) -> Result<Option<f64>> {
+        check_query(query, self.released.schema())?;
         let n = self.store.read().expect("store lock").len();
         let mut fetched = Dataset::new(self.released.schema().clone());
         for i in 0..n {
@@ -364,7 +369,23 @@ mod tests {
                 "{k:?}"
             );
             let unknown = parse("SELECT COUNT(*) FROM t WHERE salary > 3").unwrap();
-            assert!(db.private_query(&mut r, &unknown).is_err(), "{k:?}");
+            assert_eq!(
+                db.private_query(&mut r, &unknown),
+                Err(Error::UnknownAttribute("salary".into())),
+                "{k:?}"
+            );
+            let unknown_agg = parse("SELECT AVG(salary) FROM t").unwrap();
+            assert_eq!(
+                db.private_query(&mut r, &unknown_agg),
+                Err(Error::UnknownAttribute("salary".into())),
+                "{k:?}"
+            );
+            // Rejected before the first retrieval: nothing was paid.
+            assert_eq!(db.cost(), CostReport::default(), "{k:?}");
+            // A well-formed query still pays all n retrievals.
+            let ok = parse("SELECT COUNT(*) FROM t").unwrap();
+            assert_eq!(db.private_query(&mut r, &ok), Ok(Some(10.0)));
+            assert!(db.cost().server_ops > 0, "{k:?}");
         }
     }
 
