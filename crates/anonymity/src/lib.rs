@@ -5,9 +5,9 @@
 //!
 //! Models (checkers over a released dataset):
 //!
-//! * **k-anonymity** (Samarati–Sweeney [20, 21, 23]) — every combination of
+//! * **k-anonymity** (Samarati–Sweeney \[20, 21, 23\]) — every combination of
 //!   quasi-identifier values is shared by at least `k` records;
-//! * **p-sensitive k-anonymity** (Truta–Vinay [24]) — additionally, each
+//! * **p-sensitive k-anonymity** (Truta–Vinay \[24\]) — additionally, each
 //!   equivalence class exhibits at least `p` distinct values of every
 //!   confidential attribute (the paper's footnote 3);
 //! * **l-diversity** and **t-closeness** — later refinements included for
@@ -16,7 +16,7 @@
 //! Algorithms (transformations that *enforce* a model):
 //!
 //! * full-domain **global recoding** over generalization hierarchies, with
-//!   Samarati-style minimal-lattice search [2];
+//!   Samarati-style minimal-lattice search \[2\];
 //! * **Mondrian** multidimensional partitioning for numeric
 //!   quasi-identifiers;
 //! * greedy **local suppression**.

@@ -67,7 +67,7 @@ pub fn is_k_anonymous(data: &Dataset, k: usize) -> bool {
 
 /// The p-sensitivity level: the minimum, over equivalence classes and
 /// confidential attributes, of the number of distinct confidential values
-/// in the class (Truta–Vinay [24], the paper's footnote 3). `None` when the
+/// in the class (Truta–Vinay \[24\], the paper's footnote 3). `None` when the
 /// dataset is empty or has no confidential attributes.
 pub fn p_sensitivity_level(data: &Dataset) -> Option<usize> {
     if data.schema().confidential_indices().is_empty() {

@@ -1,4 +1,4 @@
-//! Enforcement of p-sensitive k-anonymity (Truta–Vinay [24]).
+//! Enforcement of p-sensitive k-anonymity (Truta–Vinay \[24\]).
 //!
 //! The paper's footnote 3: "If records sharing a combination of key
 //! attributes in a k-anonymous dataset also share the values for one or

@@ -5,7 +5,7 @@ use rngkit::{Rng, StdRng};
 /// A source of random values of one type, with shrinking.
 ///
 /// Integer ranges (`0u64..100`, `-5i32..=5`, `2u64..`), [`any`], and
-/// [`vec`] all implement this, as do tuples of strategies (which is how
+/// [`vec()`] all implement this, as do tuples of strategies (which is how
 /// the `props!` macro handles multi-argument properties).
 pub trait Strategy {
     /// The generated type.
@@ -114,7 +114,7 @@ macro_rules! impl_any {
 }
 impl_any!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
 
-/// Strategy for `Vec<T>` built by [`vec`].
+/// Strategy for `Vec<T>` built by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     elem: S,

@@ -20,7 +20,7 @@
 //! A transaction is journalled as **one** frame whose commit marker and
 //! checksum land with the same `write_all`+`sync_all`, so the classic
 //! WAL dichotomy holds per entry: a frame that parses and checksums is
-//! committed in full; anything else is an uncommitted tail. [`recover`]
+//! committed in full; anything else is an uncommitted tail. [`Journal::open`]
 //! keeps the longest clean prefix and truncates the tail (tmp+rename, so
 //! a crash *during recovery* leaves either the old file or the repaired
 //! one, never a hybrid); [`read_all`] is the strict variant that turns

@@ -105,7 +105,7 @@ impl HippocraticDb {
     /// External research release: k-anonymized via microaggregation of the
     /// quasi-identifiers (respondent privacy) and noise-masked on the
     /// numeric confidential attributes (owner privacy) — the combination
-    /// [3] deploys, as the paper recounts in §2.
+    /// \[3\] deploys, as the paper recounts in §2.
     pub fn research_release<R: Rng + ?Sized>(
         &mut self,
         k: usize,

@@ -1,7 +1,7 @@
 //! # tdf-hippocratic
 //!
-//! A hippocratic-database layer after Agrawal–Kiernan–Srikant–Xu [4] and
-//! the healthcare deployment described in [3] — the paper's §1/§2 example
+//! A hippocratic-database layer after Agrawal–Kiernan–Srikant–Xu \[4\] and
+//! the healthcare deployment described in \[3\] — the paper's §1/§2 example
 //! of a "real-world technology integrating k-anonymization for respondent
 //! privacy and PPDM based on noise addition for owner privacy".
 //!

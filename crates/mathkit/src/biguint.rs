@@ -198,7 +198,7 @@ impl BigUint {
     const KARATSUBA_THRESHOLD: usize = 24;
 
     /// Product of `self` and `other` (schoolbook below
-    /// [`Self::KARATSUBA_THRESHOLD`] limbs, Karatsuba above).
+    /// `KARATSUBA_THRESHOLD` limbs, Karatsuba above).
     pub fn mul_ref(&self, other: &Self) -> Self {
         if self.limbs.len().min(other.limbs.len()) >= Self::KARATSUBA_THRESHOLD {
             return self.mul_karatsuba(other);

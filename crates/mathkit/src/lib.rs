@@ -3,8 +3,8 @@
 //! Numeric substrate for the cryptographic parts of the toolkit.
 //!
 //! The paper's *user privacy* dimension rests on private information
-//! retrieval [8] and its *owner privacy* dimension on cryptographic
-//! privacy-preserving data mining [18, 19]; both need number theory that the
+//! retrieval \[8\] and its *owner privacy* dimension on cryptographic
+//! privacy-preserving data mining \[18, 19\]; both need number theory that the
 //! sanctioned dependency set does not provide. This crate implements it from
 //! scratch:
 //!
