@@ -95,15 +95,12 @@ step "cargo fmt --check"
 step "cargo clippy (offline, -D warnings)"
 "$CARGO" clippy --workspace --all-targets --offline -- -D warnings
 
-step "cargo doc: par, pir, querydb, microdata, core, rngkit, obs, faultkit, smc, serve, disguise, mathkit, check, hippocratic, anonymity (offline, -D warnings)"
+step "cargo doc --workspace (offline, -D warnings)"
 # Intra-doc links to removed entry points (tdf-par's, the PIR sweeps, the
-# second and third query evaluators') must not dangle. Only these crates:
-# in ppdm, sdc and bench unescaped `[n]` citation brackets still read as
-# broken links.
-RUSTDOCFLAGS="-D warnings" "$CARGO" doc -p tdf-par -p tdf-pir -p tdf-querydb -p tdf-microdata \
-  -p tdf-core -p tdf-rngkit -p tdf-obs -p tdf-faultkit -p tdf-smc -p tdf-serve \
-  -p tdf-disguise -p tdf-mathkit -p tdf-check -p tdf-hippocratic -p tdf-anonymity \
-  --no-deps --offline
+# second and third query evaluators') must not dangle, and a citation
+# bracket must be escaped (`\[12\]`) so rustdoc does not read it as a
+# broken link.
+RUSTDOCFLAGS="-D warnings" "$CARGO" doc --workspace --no-deps --offline
 
 if [[ "$QUICK" -eq 0 ]]; then
   step "cargo build --release --offline"

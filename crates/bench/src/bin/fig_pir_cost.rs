@@ -1,5 +1,5 @@
 //! **F3** — PIR communication/computation versus database size, per
-//! scheme: trivial download, 2-server linear XOR [8], 2-server square
+//! scheme: trivial download, 2-server linear XOR \[8\], 2-server square
 //! (O(√n)), and single-server computational PIR (Goldwasser–Micali).
 
 use rngkit::SeedableRng;

@@ -1,4 +1,4 @@
-//! **F4** — Agrawal–Srikant [5] reconstruction fidelity and mining utility
+//! **F4** — Agrawal–Srikant \[5\] reconstruction fidelity and mining utility
 //! versus noise level: total-variation distance of the raw noisy vs the
 //! Bayes-reconstructed distribution, and accuracy of a histogram Bayes
 //! classifier trained on (a) original, (b) raw noisy, (c) reconstructed
@@ -12,7 +12,7 @@ use tdf_ppdm::classifier::HistogramBayes;
 
 /// Two-class, two-attribute population with *asymmetric* classes (unequal
 /// spread and prior), so that training on raw noisy values misplaces the
-/// decision boundary — the failure mode [5]'s reconstruction repairs.
+/// decision boundary — the failure mode \[5\]'s reconstruction repairs.
 fn population(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
     let mut r = seeded(seed);
     let mut rows = Vec::with_capacity(n);

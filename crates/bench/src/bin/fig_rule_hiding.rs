@@ -1,4 +1,4 @@
-//! **F5** — association-rule hiding [25]: sensitive rules hidden versus
+//! **F5** — association-rule hiding \[25\]: sensitive rules hidden versus
 //! collateral damage (lost legitimate rules, ghost rules, item deletions)
 //! as the set of rules to hide grows.
 

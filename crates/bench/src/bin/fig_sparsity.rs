@@ -1,4 +1,4 @@
-//! **F2** — the sparsity re-identification curve of [11] (§2 "owner
+//! **F2** — the sparsity re-identification curve of \[11\] (§2 "owner
 //! privacy without respondent privacy"): record-linkage success on
 //! noise-masked data as dimensionality grows, per noise level.
 

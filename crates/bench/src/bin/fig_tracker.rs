@@ -1,6 +1,6 @@
 //! **F6** — tracker-attack success versus inference-control regime: the
-//! Schlörer tracker [22] against no control, query-set-size restriction
-//! (several thresholds), output noise [14] and exact auditing [7], on
+//! Schlörer tracker \[22\] against no control, query-set-size restriction
+//! (several thresholds), output noise \[14\] and exact auditing \[7\], on
 //! populations of isolatable targets.
 
 use tdf_bench::{f3, Series};

@@ -117,11 +117,12 @@ impl From<tdf_microdata::Error> for Error {
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Row-stream fingerprint of a dataset: FNV-1a over the canonical binary
-/// segment image (schema, column buffers, missing bitmaps, dictionary
-/// order — everything, bit for bit). Two datasets fingerprint equal iff
-/// their stored representation is identical; this is the equality the
-/// crash-matrix all-or-nothing assertions are stated in.
+/// Row-stream fingerprint of a dataset: the checksum trailer of its
+/// canonical binary segment image (schema, column buffers, missing
+/// bitmaps, dictionary order — everything, bit for bit). Two datasets
+/// fingerprint equal iff their stored representation is identical; this
+/// is the equality the crash-matrix all-or-nothing assertions are stated
+/// in.
 pub fn fingerprint(data: &Dataset) -> u64 {
-    segio::fnv1a(&segio::encode_segment(data))
+    segio::image_checksum(&segio::encode_segment(data))
 }

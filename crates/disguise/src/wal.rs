@@ -2,8 +2,11 @@
 //! restore transactions.
 //!
 //! The format reuses the `segio` codec idioms — little-endian framing,
-//! a 64-bit FNV-1a checksum verified before any decoding, tmp+rename
-//! rewrites, fail-closed on anything torn or corrupt:
+//! a 64-bit checksum verified before any decoding, tmp+rename rewrites,
+//! fail-closed on anything torn or corrupt. Its checksum is FNV-1a, not
+//! the segment image's XXH64: a spilled segment lives only as long as the
+//! process that wrote it, but a journal is reopened across restarts, so
+//! its frame format stays fixed under `TDFWAL1`:
 //!
 //! ```text
 //! magic     8  b"TDFWAL1\0"
@@ -37,11 +40,22 @@ use crate::{Error, Result};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use tdf_microdata::segio::fnv1a;
 use tdf_microdata::Value;
 
 const MAGIC: &[u8; 8] = b"TDFWAL1\0";
 const COMMIT: u8 = 0xC7;
+
+/// FNV-1a (64-bit) over `bytes` — the frame checksum. Journals outlive
+/// the process that wrote them, so changing it needs a new magic and a
+/// migration path.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Transaction direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,7 +9,7 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic     8  b"TDFSEG1\0"
+//! magic     8  b"TDFSEG2\0"
 //! ncols     4  u32
 //! per col:     name (u32 len + UTF-8 bytes), kind u8, role u8
 //! nrows     8  u64
@@ -19,16 +19,27 @@
 //!   bool:      data bitmap words, missing bitmap words
 //!   cat:       u32 pool len; per value u8 tag (0 Str / 1 Int) + payload;
 //!              nrows u32 codes, missing bitmap words
-//! checksum  8  FNV-1a over every preceding byte
+//! checksum  8  XXH64 (seed 0) over every preceding byte
 //! ```
 //!
 //! The checksum is verified before any decoding: a torn write, a flipped
 //! bit, or an injected `segment.reload` corruption is a typed
-//! [`Error::Serial`], never a silently wrong segment. Writes go through a
-//! temporary file renamed into place only after the full image (including
-//! the checksum) is on disk, so a crash mid-spill — injected through the
-//! `segment.spill` fault site — leaves at worst a stale `.tmp` file and
-//! never a truncated segment under the final name.
+//! [`Error::Serial`], never a silently wrong segment. It is an integrity
+//! check against torn or flipped bytes, not a MAC: anyone who can write
+//! the spill directory can forge a matching trailer. XXH64 folds 32-byte
+//! stripes through four independent lanes, so a reload costs about what
+//! reading its bytes costs; every step it takes is a bijection in the
+//! changed word or byte, so any single changed word or byte changes the
+//! sum. An image whose checksum holds but whose lengths do not fit the
+//! bytes that follow is still a typed error, never a panic or a huge
+//! allocation. Only the process that spilled an image reads it back, so
+//! the format carries no version negotiation: an image under another
+//! magic is simply an error.
+//!
+//! Writes go through a temporary file renamed into place only after the
+//! full image (including the checksum) is on disk, so a crash mid-spill
+//! — injected through the `segment.spill` fault site — leaves at worst a
+//! stale `.tmp` file and never a truncated segment under the final name.
 
 use crate::attribute::{AttributeDef, AttributeKind, AttributeRole};
 use crate::bitmap::Bitmap;
@@ -41,17 +52,69 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"TDFSEG1\0";
+const MAGIC: &[u8; 8] = b"TDFSEG2\0";
 
-/// FNV-1a (64-bit) over `bytes` — the trailer checksum. Public so sibling
-/// framed formats (the disguise journal) share one checksum definition.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn read_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().unwrap())
+}
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// XXH64 with seed 0 (Collet's xxHash specification) — the trailer
+/// checksum.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut rest = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, read_u64(word));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        h ^= xxh_round(0, read_u64(rest));
+        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        rest = &rest[8..];
     }
-    h
+    if rest.len() >= 4 {
+        h ^= (u32::from_le_bytes(rest[..4].try_into().unwrap()) as u64).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h ^= (b as u64).wrapping_mul(P5);
+        h = h.rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 fn kind_tag(kind: AttributeKind) -> u8 {
@@ -163,9 +226,15 @@ pub fn encode_segment(data: &Dataset) -> Vec<u8> {
             }
         }
     }
-    let sum = fnv1a(&out);
+    let sum = xxh64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// The checksum trailer of an image from [`encode_segment`]: a `u64`
+/// that changes whenever any stored byte of the dataset does.
+pub fn image_checksum(image: &[u8]) -> u64 {
+    read_u64(&image[image.len() - 8..])
 }
 
 /// Byte cursor over a segment image.
@@ -176,12 +245,24 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(Error::Serial("segment image truncated".into()));
         }
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Takes `nrows` items of `width` bytes, a length read from the image.
+    fn take_rows(&mut self, nrows: usize, width: usize) -> Result<&'a [u8]> {
+        let n = nrows
+            .checked_mul(width)
+            .ok_or_else(|| Error::Serial("segment row count overflows".into()))?;
+        self.take(n)
     }
 
     fn u8(&mut self) -> Result<u8> {
@@ -218,9 +299,8 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Dataset> {
     if bytes.len() < MAGIC.len() + 8 {
         return Err(Error::Serial("segment image truncated".into()));
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a(body) != stored {
+    let body = &bytes[..bytes.len() - 8];
+    if xxh64(body) != image_checksum(bytes) {
         return Err(Error::Serial("segment checksum mismatch".into()));
     }
     let mut cur = Cursor {
@@ -230,8 +310,10 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Dataset> {
     if cur.take(MAGIC.len())? != MAGIC {
         return Err(Error::Serial("bad segment magic".into()));
     }
+    // Counts read from the image only bound a capacity by the bytes that
+    // remain: a forged count fails as truncated, not in the allocator.
     let ncols = cur.u32()? as usize;
-    let mut attrs = Vec::with_capacity(ncols);
+    let mut attrs = Vec::with_capacity(ncols.min(cur.remaining()));
     for _ in 0..ncols {
         let name = cur.str()?;
         let kind = kind_from_tag(cur.u8()?)?;
@@ -240,12 +322,12 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Dataset> {
     }
     let schema = Schema::new(attrs)?;
     let nrows = cur.u64()? as usize;
-    let mut columns = Vec::with_capacity(ncols);
+    let mut columns = Vec::with_capacity(ncols.min(cur.remaining()));
     for _ in 0..ncols {
         let layout = cur.u8()?;
         columns.push(match layout {
             0 => {
-                let raw = cur.take(nrows * 8)?;
+                let raw = cur.take_rows(nrows, 8)?;
                 let data = raw
                     .chunks_exact(8)
                     .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
@@ -253,7 +335,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Dataset> {
                 Column::Float(FloatCol::from_parts(data, cur.bitmap(nrows)?))
             }
             1 => {
-                let raw = cur.take(nrows * 8)?;
+                let raw = cur.take_rows(nrows, 8)?;
                 let data = raw
                     .chunks_exact(8)
                     .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
@@ -266,7 +348,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Dataset> {
             }
             3 => {
                 let pool_len = cur.u32()? as usize;
-                let mut pool = Vec::with_capacity(pool_len);
+                let mut pool = Vec::with_capacity(pool_len.min(cur.remaining()));
                 for _ in 0..pool_len {
                     pool.push(match cur.u8()? {
                         0 => Value::Str(cur.str()?),
@@ -276,7 +358,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Dataset> {
                         }
                     });
                 }
-                let raw = cur.take(nrows * 4)?;
+                let raw = cur.take_rows(nrows, 4)?;
                 let codes: Vec<u32> = raw
                     .chunks_exact(4)
                     .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
@@ -413,26 +495,90 @@ mod tests {
     }
 
     #[test]
-    fn every_flipped_byte_is_caught() {
-        let image = encode_segment(&sample());
-        // Exhaustive over a stride (the image is ~5 KB); every corruption
-        // must surface as a typed error, never a silently wrong dataset.
-        for pos in (0..image.len()).step_by(97) {
-            let mut bad = image.clone();
-            bad[pos] ^= 0x01;
-            assert!(
-                decode_segment(&bad).is_err(),
-                "flip at byte {pos} went undetected"
-            );
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one full 32-byte stripe, then the 8-, 4- and 1-byte
+        // tail steps.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn every_flipped_bit_is_caught() {
+        let mut image = encode_segment(&sample());
+        // Exhaustive: every corruption must surface as a typed error,
+        // never a silently wrong dataset.
+        for pos in 0..image.len() {
+            for bit in 0..8 {
+                image[pos] ^= 1 << bit;
+                assert!(
+                    matches!(decode_segment(&image), Err(Error::Serial(_))),
+                    "flip of bit {bit} at byte {pos} went undetected"
+                );
+                image[pos] ^= 1 << bit;
+            }
         }
+        assert!(decode_segment(&image).is_ok());
     }
 
     #[test]
     fn truncations_are_typed_errors() {
         let image = encode_segment(&sample());
-        for keep in [0, 4, 8, 40, image.len() / 2, image.len() - 1] {
-            assert!(decode_segment(&image[..keep]).is_err(), "kept {keep}");
+        for keep in 0..image.len() {
+            assert!(
+                matches!(decode_segment(&image[..keep]), Err(Error::Serial(_))),
+                "kept {keep}"
+            );
         }
+    }
+
+    /// Appends a valid trailer to a hand-built image body.
+    fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = xxh64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    /// An image body up to one column's layout tag: magic, a one-column
+    /// schema (`kind`, `role`), `nrows`, `layout`.
+    fn one_column_header(kind: u8, role: u8, nrows: u64, layout: u8) -> Vec<u8> {
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&1u32.to_le_bytes());
+        put_str(&mut body, "x");
+        body.extend_from_slice(&[kind, role]);
+        body.extend_from_slice(&nrows.to_le_bytes());
+        body.push(layout);
+        body
+    }
+
+    #[test]
+    fn the_previous_format_is_a_typed_error() {
+        let mut image = encode_segment(&sample());
+        image[..8].copy_from_slice(b"TDFSEG1\0");
+        image.truncate(image.len() - 8);
+        let old = seal(image);
+        match decode_segment(&old) {
+            Err(Error::Serial(m)) => assert!(m.contains("magic"), "{m}"),
+            other => panic!("TDFSEG1 image decoded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forged_lengths_under_a_valid_checksum_are_typed_errors() {
+        // A row count whose byte length overflows usize.
+        let rows = seal(one_column_header(0, 2, 1 << 61, 0));
+        assert!(matches!(decode_segment(&rows), Err(Error::Serial(_))));
+        // Column and dictionary counts far beyond the bytes that follow.
+        let mut cols = MAGIC.to_vec();
+        cols.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode_segment(&seal(cols)), Err(Error::Serial(_))));
+        let mut pool = one_column_header(2, 1, 0, 3);
+        pool.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode_segment(&seal(pool)), Err(Error::Serial(_))));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Agrawal–Srikant value distortion and Bayesian distribution
-//! reconstruction [5].
+//! reconstruction \[5\].
 //!
 //! The owner publishes `w_i = x_i + r_i` with `r_i` drawn from a known
 //! noise distribution. A miner cannot see the `x_i`, but can recover the
@@ -9,7 +9,7 @@
 //!
 //! where `φ` is the noise density. The paper's §2 uses exactly this method
 //! as its respondent+owner example — and its §2 "owner without respondent"
-//! example cites [11]'s attack against it (see [`crate::sparsity`]).
+//! example cites \[11\]'s attack against it (see [`crate::sparsity`]).
 
 use rngkit::Rng;
 use tdf_microdata::rng::standard_normal;

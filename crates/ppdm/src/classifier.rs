@@ -1,6 +1,6 @@
 //! Histogram (naive) Bayes classification on per-class distributions.
 //!
-//! Agrawal–Srikant's point [5] is that a classifier trained on
+//! Agrawal–Srikant's point \[5\] is that a classifier trained on
 //! *reconstructed* per-class distributions matches one trained on the
 //! original data. This module provides exactly that yardstick: a naive
 //! Bayes classifier whose class-conditional densities are histograms that

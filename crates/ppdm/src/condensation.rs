@@ -1,4 +1,4 @@
-//! Condensation-based PPDM (Aggarwal–Yu [1]).
+//! Condensation-based PPDM (Aggarwal–Yu \[1\]).
 //!
 //! Records are grouped into clusters of at least `k` (via MDAV
 //! microaggregation — the two methods coincide, as the paper notes in §2),

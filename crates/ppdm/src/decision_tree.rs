@@ -1,7 +1,7 @@
 //! A binary decision tree (CART-style, Gini impurity, threshold splits)
 //! for numeric data.
 //!
-//! Agrawal–Srikant's evaluation [5] is about decision trees: "decision-tree
+//! Agrawal–Srikant's evaluation \[5\] is about decision trees: "decision-tree
 //! classifiers properly run on the masked data". [`crate::classifier`]
 //! covers the distribution-level route; this module provides the literal
 //! tree, so the `fig_release_utility` family of experiments can train the

@@ -8,24 +8,24 @@
 //! his protected data" (§4), which is what makes these methods composable
 //! with PIR — the composition `tdf-core::pipeline` exploits.
 //!
-//! * [`agrawal`] — the seminal Agrawal–Srikant scheme [5]: additive value
+//! * [`agrawal`] — the seminal Agrawal–Srikant scheme \[5\]: additive value
 //!   distortion plus Bayesian reconstruction of the original *distribution*
 //!   (not the values), enabling distribution-level mining;
 //! * [`classifier`] — a histogram Bayes classifier that trains on original,
 //!   distorted, or reconstructed distributions — the utility yardstick of
 //!   the `fig_reconstruction` experiment;
 //! * [`decision_tree`] — a CART-style tree with threshold splits, the
-//!   literal model family [5] evaluates;
-//! * [`condensation`] — Aggarwal–Yu condensation [1]: microaggregation
+//!   literal model family \[5\] evaluates;
+//! * [`condensation`] — Aggarwal–Yu condensation \[1\]: microaggregation
 //!   groups re-emitted as synthetic records with preserved moments; the
 //!   centroid-releasing variant of the same grouping yields k-anonymity
-//!   ([12]), while the synthetic variant bounds linkage at ~1/k;
+//!   (\[12\]), while the synthetic variant bounds linkage at ~1/k;
 //! * [`randomized_response`] — Warner's randomized response and the
-//!   Du–Zhan PPDM use of it [13] (see the paper's footnote 1: in practice
+//!   Du–Zhan PPDM use of it \[13\] (see the paper's footnote 1: in practice
 //!   the *owner*, not the respondent, runs the randomizing device);
 //! * [`rules`] — an Apriori miner plus Verykios-style association-rule
-//!   hiding [25], with lost/ghost side-effect accounting;
-//! * [`sparsity`] — the Domingo-Ferrer–Sebé–Castellà attack [11] showing
+//!   hiding \[25\], with lost/ghost side-effect accounting;
+//! * [`sparsity`] — the Domingo-Ferrer–Sebé–Castellà attack \[11\] showing
 //!   owner privacy *without* respondent privacy: in high dimension,
 //!   noise-masked records become re-identifiable.
 

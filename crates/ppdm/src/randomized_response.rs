@@ -1,4 +1,4 @@
-//! Randomized response (Warner 1965; Du–Zhan PPDM use [13]).
+//! Randomized response (Warner 1965; Du–Zhan PPDM use \[13\]).
 //!
 //! The respondent (or, per the paper's footnote 1, more realistically the
 //! *data owner* acting on the respondents' behalf) answers the sensitive

@@ -1,4 +1,4 @@
-//! Association-rule mining (Apriori) and rule hiding (Verykios et al. [25]).
+//! Association-rule mining (Apriori) and rule hiding (Verykios et al. \[25\]).
 //!
 //! Rule hiding is *use-specific* non-crypto PPDM in the paper's taxonomy
 //! (§5): the owner sanitizes the transaction database so that designated
@@ -182,7 +182,7 @@ fn rule_key(r: &Rule) -> (Itemset, Itemset) {
 /// Hides the rules whose (antecedent, consequent) pairs appear in
 /// `sensitive` by deleting consequent items from supporting transactions
 /// until each rule drops below `min_support` or `min_confidence`
-/// (support-reduction strategy of [25]).
+/// (support-reduction strategy of \[25\]).
 pub fn hide_rules(
     txs: &[Transaction],
     sensitive: &[(Itemset, Itemset)],

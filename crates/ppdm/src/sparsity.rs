@@ -1,5 +1,5 @@
 //! The high-dimensional sparsity attack on noise addition
-//! (Domingo-Ferrer, Sebé & Castellà [11]) — the paper's §2 example of
+//! (Domingo-Ferrer, Sebé & Castellà \[11\]) — the paper's §2 example of
 //! *owner privacy without respondent privacy*.
 //!
 //! As dimensionality grows, data become sparse: records drift apart while

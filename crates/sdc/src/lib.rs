@@ -2,17 +2,17 @@
 //!
 //! Statistical disclosure control (SDC) — the toolbox of the respondent-
 //! privacy dimension, after the *Handbook on Statistical Disclosure
-//! Control* [17] and Willenborg–DeWaal [26].
+//! Control* \[17\] and Willenborg–DeWaal \[26\].
 //!
 //! Masking methods (each takes an original dataset and returns a protected
 //! release):
 //!
 //! * [`microaggregation`] — MDAV and fixed-size heuristics; with group size
 //!   `k` applied to the quasi-identifiers this *guarantees k-anonymity*
-//!   (Domingo-Ferrer–Torra [12]) and coincides with the condensation
-//!   approach to PPDM (Aggarwal–Yu [1]);
+//!   (Domingo-Ferrer–Torra \[12\]) and coincides with the condensation
+//!   approach to PPDM (Aggarwal–Yu \[1\]);
 //! * [`noise`] — uncorrelated and correlated additive Gaussian noise
-//!   (the masking of Agrawal–Srikant [5] and of hippocratic databases);
+//!   (the masking of Agrawal–Srikant \[5\] and of hippocratic databases);
 //! * [`swapping`] — rank swapping;
 //! * [`pram`] — post-randomization of categorical attributes;
 //! * [`coding`] — top/bottom coding and rounding;

@@ -2,8 +2,8 @@
 //!
 //! Microaggregation partitions records into groups of at least `k` similar
 //! records and replaces each group's values by the group centroid. Applied
-//! to the quasi-identifiers it yields k-anonymity ([12]); applied to all
-//! attributes it is the *condensation* PPDM method of Aggarwal–Yu [1],
+//! to the quasi-identifiers it yields k-anonymity (\[12\]); applied to all
+//! attributes it is the *condensation* PPDM method of Aggarwal–Yu \[1\],
 //! because the released centroids preserve means exactly and covariances
 //! approximately.
 
@@ -26,7 +26,7 @@ pub struct MicroaggregationResult {
 
 /// MDAV (Maximum Distance to Average Vector) microaggregation of the given
 /// numeric `cols` with minimum group size `k` (Domingo-Ferrer &
-/// Mateo-Sanz [10]).
+/// Mateo-Sanz \[10\]).
 /// ```
 /// use tdf_microdata::patients;
 /// use tdf_sdc::microaggregation::mdav_microaggregate;

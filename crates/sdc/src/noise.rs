@@ -2,10 +2,10 @@
 //!
 //! Uncorrelated noise adds independent Gaussian noise with per-column
 //! standard deviation `alpha · sd(column)` — the masking of
-//! Agrawal–Srikant [5]. Correlated noise draws the noise vector from a
+//! Agrawal–Srikant \[5\]. Correlated noise draws the noise vector from a
 //! Gaussian with covariance `alpha² · Σ`, where `Σ` is the data covariance
 //! matrix, so that the masked data preserve the correlation structure
-//! (at the cost of the vulnerabilities [11] exposes — see
+//! (at the cost of the vulnerabilities \[11\] exposes — see
 //! `tdf-ppdm::sparsity`).
 
 use rngkit::Rng;

@@ -2,8 +2,8 @@
 //!
 //! Statistical offices publish *frequency tables* (cross-tabulations with
 //! margins), not only microdata; cells with very few contributors disclose
-//! respondents just like isolated records do. The classic remedy ([17],
-//! [26]) is **primary suppression** of all small cells followed by
+//! respondents just like isolated records do. The classic remedy (\[17\],
+//! \[26\]) is **primary suppression** of all small cells followed by
 //! **complementary suppression** of additional cells, so that no primary
 //! cell can be recovered from the published margins by linear algebra.
 //!

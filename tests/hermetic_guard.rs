@@ -212,7 +212,7 @@ fn serve_crate_is_registered_and_its_dependencies_are_frozen() {
 #[test]
 fn disguise_crate_is_registered_and_its_dependencies_are_frozen() {
     // The disguise engine sits on the storage layer (datasets + the
-    // shared FNV-framed codec idioms), the in-tree RNG (ghost identity
+    // shared checksummed-frame codec idioms), the in-tree RNG (ghost identity
     // derivation), observability and fault injection — nothing else. In
     // particular it must NOT depend on the serve crate (the dependency
     // points the other way) or grow I/O frameworks: the WAL is std::fs.
