@@ -7,9 +7,10 @@
 //! to per-query retries and never change a record.
 
 use rngkit::rngs::StdRng;
-use rngkit::SeedableRng;
+use rngkit::{Rng, SeedableRng};
 use std::sync::Mutex;
-use tdf_pir::batch::{retrieve_batch, BatchQuery};
+use tdf_pir::batch::{answer_batch, retrieve_batch, BatchQuery};
+use tdf_pir::cost::CostReport;
 use tdf_pir::store::{Database, ServerView};
 
 /// The fault plan is process-global: serialise tests that install one.
@@ -61,6 +62,51 @@ fn batch_of_one_is_bit_identical_to_the_linear_path_at_1_and_4_threads() {
                 }
             }
         });
+    }
+}
+
+/// Every lane of a batch answers exactly what its server computes alone:
+/// `answer_batch` over q queries equals q sequential
+/// `linear::retrieve` calls on the same RNG stream — records, masks
+/// per replica, and the summed `CostReport`. Record sizes 8 and 32 take
+/// the whole-word kernel, 1, 9 and 70 the body-plus-tail kernel; a
+/// lane paired with another query's replica would XOR to a wrong record.
+#[test]
+fn fused_lanes_equal_per_query_linear_retrievals_for_every_kernel() {
+    let n = 333;
+    for record_size in [1usize, 8, 9, 32, 70] {
+        let db = Database::from_fn(n, record_size, |i, rec| {
+            for (j, b) in rec.iter_mut().enumerate() {
+                *b = (i.wrapping_mul(0x9E37).wrapping_add(j * 0x51) >> (j % 7)) as u8;
+            }
+        });
+        for q in [1usize, 2, 3, 9] {
+            let indices: Vec<usize> = (0..q).map(|t| (t * 131 + 5 * q) % n).collect();
+            let seed = 0xF05E ^ (record_size * 16 + q) as u64;
+            let what = format!("record_size={record_size} q={q}");
+            let mut batch_rng = StdRng::seed_from_u64(seed);
+            let batch = BatchQuery::build(&mut batch_rng, n, &indices);
+            let out = answer_batch(&db, &batch);
+            assert!(!out.degraded, "{what}");
+            let mut linear_rng = StdRng::seed_from_u64(seed);
+            let mut cost = CostReport::default();
+            for (l, &index) in indices.iter().enumerate() {
+                let (record, views, c) = tdf_pir::linear::retrieve(&mut linear_rng, &db, 2, index);
+                assert_eq!(out.records[l], record, "{what} lane {l}");
+                assert_eq!(record, db.record(index), "{what} lane {l}");
+                for (j, view) in views.iter().enumerate() {
+                    assert_eq!(
+                        *view,
+                        ServerView::Mask(batch.queries()[l].share(j).clone()),
+                        "{what} lane {l} replica {j}"
+                    );
+                }
+                cost += c;
+            }
+            assert_eq!(out.records.len(), q, "{what}");
+            assert_eq!(out.cost, cost, "{what}");
+            assert_eq!(batch_rng.next_u64(), linear_rng.next_u64(), "{what}");
+        }
     }
 }
 
