@@ -168,21 +168,27 @@ echo "ok"
 step "pir-scale smoke (fused batch + hint path, words-scanned budget)"
 # Quick shape of the PIR-at-scale bench: n=10^5, q in {1,8}, real fused
 # sweeps and hint retrievals with in-bench bit-identity asserts. The
-# grep pins the q=8 scan budget to the cost model — 2 servers x 8 lanes
-# x ceil(1e5/64) mask words = 25008 — so a kernel that silently starts
-# scanning more than the model predicts fails CI even though the timing
-# itself is not gated here. The artefact rides along in $ARTIFACTS (the
+# greps pin the q=8 scan budget to the cost model — 2 servers x 8 lanes
+# x ceil(1e5/64) mask words = 25008 — and the q=1 batch to the
+# single-query path's 3126, so a kernel that silently starts scanning
+# more than the model predicts fails CI even though the timing itself
+# is not gated here. The artefact rides along in $ARTIFACTS (the
 # workflow uploads it).
 TDF_PIR_SCALE_QUICK=1 TDF_PIR_SCALE_SAMPLES=2 TDF_RESULTS_DIR="$ARTIFACTS" \
   "$CARGO" bench --offline -p tdf-bench --bench pir_scale >/dev/null
 pir_json="$ARTIFACTS/BENCH_pir_scale.json"
 [[ -s "$pir_json" ]] || { echo "missing $pir_json" >&2; exit 1; }
-for id in single_q1_n1e5 batch_q8_n1e5 hint_online_n1e5; do
+for id in single_q1_n1e5 batch_q1_n1e5 batch_q8_n1e5 hint_online_n1e5; do
   grep -q "\"id\":\"$id\"" "$pir_json" \
     || { echo "$pir_json lacks entry $id" >&2; exit 1; }
 done
 grep -q '"words_scanned":25008' "$pir_json" \
   || { echo "$pir_json: q=8 n=1e5 words-scanned budget drifted from 25008" >&2
+       exit 1; }
+# One fused 2-lane pass answers both replicas of a q=1 batch:
+# 2 x 1563 = 3126 words, the same as single_q1_n1e5.
+grep -q '"id":"batch_q1_n1e5"[^}]*"words_scanned":3126[,}]' "$pir_json" \
+  || { echo "$pir_json: batch_q1_n1e5 words-scanned drifted from 3126" >&2
        exit 1; }
 echo "ok"
 

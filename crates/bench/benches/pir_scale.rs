@@ -6,11 +6,12 @@
 //!
 //! * `single_q1_n*` — one 2-server linear retrieval; the full-scan
 //!   baseline every other entry is measured against.
-//! * `batch_q{q}_n*` — one fused `q`-lane sweep, reported as
-//!   **amortized per-query** latency (sweep wall time ÷ q). The fused
-//!   sweep reads each database word once for all lanes, so the
-//!   amortization is of *memory traffic*; the XOR compute per query is
-//!   information-theoretically irreducible (~n/2 records per server).
+//! * `batch_q{q}_n*` — one fused sweep of `2q` lanes (both replicas of
+//!   every query), reported as **amortized per-query** latency (sweep
+//!   wall time ÷ q). The fused sweep reads each database word once for
+//!   all lanes, so the amortization is of *memory traffic*; the XOR
+//!   compute per query is information-theoretically irreducible (~n/2
+//!   records per server).
 //! * `hint_offline_n*` / `hint_online_n*` — the two halves of the
 //!   offline/online split: one preprocessing pass building 4·⌈√n⌉
 //!   hints, and one O(√n)-word online retrieval against that pool. The

@@ -169,7 +169,7 @@ fn pir_batch_gate(samples: usize) -> bool {
     println!(
         "{} pir_batch_n1e6_q64: single full-scan {:.2} ms/query, hint online \
          {:.3} ms/query amortized, ratio {ratio:.4} (limit {PIR_BATCH_RATIO}); \
-         fused sweep {:.2} ms/query amortized (memory-bound, informational)",
+         fused sweep {:.2} ms/query amortized (ALU-bound at q = 64, informational)",
         if ok { "pass" } else { "FAIL" },
         single as f64 / 1e6,
         online as f64 / 1e6,

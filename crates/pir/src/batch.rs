@@ -4,11 +4,14 @@
 //! A single CGKS retrieval is memory-bound at scale — each server
 //! streams the whole record array to honour one mask. When `q` queries
 //! are pending (a server draining its queue, a client with a read set),
-//! [`retrieve_batch`] answers all of them in one fused sweep: every
-//! 64-record data window is folded into all `q` lanes while it is
-//! cache-hot, so the data array crosses the memory bus once per batch
-//! instead of once per query (see [`Database::xor_selected_batch`], the
-//! store's only mask sweep; a single query is a one-lane call of it).
+//! [`retrieve_batch`] answers all of them in one fused sweep: both
+//! replicas' masks of every query are lanes of one
+//! [`Database::xor_selected_batch`] call, the store's only mask sweep,
+//! exactly as [`crate::linear::retrieve`] answers its k replicas. Every
+//! 64-record data window is folded into the lanes of a pass (up to 64)
+//! while it is cache-hot, so the data array crosses the memory bus once
+//! per pass instead of once per query and replica. Each lane is still
+//! exactly the answer its server computes alone.
 //!
 //! The XOR *compute* per lane is information-theoretically irreducible —
 //! every server must touch about n/2 records per query regardless of
@@ -68,14 +71,15 @@ pub struct BatchOutcome {
     /// `q` sequential single-query retrievals over the same masks.
     pub records: Vec<Vec<u8>>,
     /// True when the fused sweep was abandoned (fault injection) and
-    /// the batch degraded to one-lane sweeps per query; records are still exact.
+    /// the batch degraded to one two-lane sweep per query; records are
+    /// still exact.
     pub degraded: bool,
     /// Aggregate cost of the whole batch.
     pub cost: CostReport,
 }
 
 /// Answers a prepared batch against both server replicas in one fused
-/// sweep per replica.
+/// sweep call: `2q` lanes, one per query and replica.
 pub fn answer_batch(db: &Database, batch: &BatchQuery) -> BatchOutcome {
     let q = batch.len();
     if q == 0 {
@@ -86,45 +90,34 @@ pub fn answer_batch(db: &Database, batch: &BatchQuery) -> BatchOutcome {
         };
     }
     obs::observe("pir.batch_size", q as u64);
+    // Both replicas of every query: lanes 2l and 2l + 1 are query l's
+    // two server answers, each exactly what that server computes alone.
+    let lanes: Vec<&BitVec> = batch
+        .queries()
+        .iter()
+        .flat_map(|qq| [qq.share(0), qq.share(1)])
+        .collect();
     // `pir.batch_drop` models a server rejecting the whole fused sweep
     // (overload shedding, a mid-sweep fault). The degraded path
-    // re-answers every query with its own one-lane sweep over the
-    // *same* masks, so a dropped batch costs throughput — q sweeps
+    // re-answers every query with its own two-lane sweep over the
+    // *same* masks, so a dropped batch costs throughput — q passes
     // instead of one — never correctness.
-    let (answers, degraded) = if faultkit::fire("pir.batch_drop") {
+    let degraded = faultkit::fire("pir.batch_drop");
+    let answers = if degraded {
         obs::count("pir.batch.drops", 1);
-        let per_query: Vec<[Vec<u8>; 2]> = batch
-            .queries()
-            .iter()
-            .map(|qq| [0, 1].map(|j| db.xor_selected_batch(&[qq.share(j)]).remove(0)))
-            .collect();
-        (per_query, true)
+        lanes
+            .chunks_exact(2)
+            .flat_map(|pair| db.xor_selected_batch(pair))
+            .collect()
     } else {
         obs::count("pir.batch.sweeps", 1);
-        let a: Vec<&BitVec> = batch.queries().iter().map(|qq| qq.share(0)).collect();
-        let b: Vec<&BitVec> = batch.queries().iter().map(|qq| qq.share(1)).collect();
-        let fused_a = db.xor_selected_batch(&a);
-        let fused_b = db.xor_selected_batch(&b);
-        (
-            fused_a
-                .into_iter()
-                .zip(fused_b)
-                .map(|(x, y)| [x, y])
-                .collect(),
-            false,
-        )
+        db.xor_selected_batch(&lanes)
     };
     // Mask decode work is identical on both paths: q masks × 2 servers.
     obs::count("pir.words_scanned", batch_scan_words(q, db.len()));
     let records = answers
-        .into_iter()
-        .map(|[a, b]| {
-            let mut rec = a;
-            for (x, y) in rec.iter_mut().zip(&b) {
-                *x ^= y;
-            }
-            rec
-        })
+        .chunks_exact(2)
+        .map(|pair| pair[0].iter().zip(&pair[1]).map(|(x, y)| x ^ y).collect())
         .collect();
     let cost = CostReport {
         uplink_bits: packed_mask_bits(2 * q, db.len()),

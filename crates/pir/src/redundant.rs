@@ -359,6 +359,14 @@ mod tests {
         out
     }
 
+    /// Runs `f` with no plan installed, so that no other test's plan
+    /// can fire inside it.
+    fn without_fault_plan<T>(f: impl FnOnce() -> T) -> T {
+        let _guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
+        faultkit::set_plan(None);
+        f()
+    }
+
     fn rng() -> rngkit::rngs::StdRng {
         rngkit::rngs::StdRng::seed_from_u64(4242)
     }
@@ -376,7 +384,9 @@ mod tests {
         let vdb = vdb(50);
         let mut r = rng();
         for i in 0..vdb.len() {
-            let out = retrieve(&mut r, &vdb, 4, 1, i, &RetryPolicy::default()).unwrap();
+            let out =
+                without_fault_plan(|| retrieve(&mut r, &vdb, 4, 1, i, &RetryPolicy::default()))
+                    .unwrap();
             assert_eq!(out.record, vec![i as u8, (i * 13) as u8, 0xC4], "index {i}");
             assert!(!out.degraded);
             assert_eq!(out.pairs_tried, 1);
@@ -388,7 +398,8 @@ mod tests {
     fn fault_free_words_scanned_match_a_plain_two_server_retrieval() {
         let vdb = vdb(500);
         let mut r = rng();
-        let out = retrieve(&mut r, &vdb, 4, 1, 7, &RetryPolicy::default()).unwrap();
+        let out = without_fault_plan(|| retrieve(&mut r, &vdb, 4, 1, 7, &RetryPolicy::default()))
+            .unwrap();
         assert_eq!(
             out.cost.words_scanned,
             crate::cost::linear_scan_words(2, 500),
@@ -444,11 +455,11 @@ mod tests {
 
     #[test]
     fn a_corrupt_answer_is_detected_and_masked_within_two_x_words() {
-        let baseline = {
+        let baseline = without_fault_plan(|| {
             let vdb = vdb(300);
             let mut r = rng();
             retrieve(&mut r, &vdb, 4, 1, 23, &RetryPolicy::default()).unwrap()
-        };
+        });
         let out = with_fault_plan("pir.corrupt_word=1", || {
             let vdb = vdb(300);
             let mut r = rng();
@@ -541,11 +552,7 @@ mod tests {
                 .map(|i| retrieve(&mut r, &vdb, 4, 1, i, &RetryPolicy::default()).unwrap())
                 .collect::<Vec<_>>()
         };
-        let baseline = {
-            let _guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-            faultkit::set_plan(None);
-            run()
-        };
+        let baseline = without_fault_plan(run);
         let gated = with_fault_plan(
             "pir.server_drop=9@0,pir.corrupt_word=9@0,par.worker_panic=9@0",
             run,

@@ -2,12 +2,23 @@
 //! connections (and users) drain through one fused database sweep.
 //!
 //! The first request to arrive while no sweep is running becomes the
-//! **leader**: it waits out a short admission window (`window_ms`) for
-//! followers to pile on — or until `max_batch` requests are pending —
-//! then drains the whole queue through [`tdf_pir::batch::retrieve_batch`]
-//! and distributes the answers. Requests arriving *during* a sweep
-//! enqueue and are drained by the same leader before it retires, so no
-//! request can be stranded waiting for a leader that already left.
+//! **leader**: it holds an admission window of at most `window_ms` open
+//! for followers to pile on, then answers up to `max_batch` queued
+//! requests, its own first, through [`tdf_pir::batch::retrieve_batch`].
+//! Requests arriving *during* a sweep enqueue; the retiring leader
+//! hands its role to the oldest of them, which opens a window of its
+//! own. So no request is stranded waiting for a leader that already
+//! left, and no leader's answer waits behind a later batch's sweep.
+//!
+//! The window closes early once no further fetch can join it: when
+//! `max_batch` requests are pending, or when every connection a server
+//! worker holds has a fetch pending. A worker blocks in
+//! [`PirBatcher::try_fetch`] until its answer arrives, so each held
+//! connection has at most one fetch pending; the server counts its
+//! connections through `PirBatcher::hold_connection`. A batcher with
+//! no held connections (a direct caller, a test) waits the full window.
+//! The count only decides when a window closes, never which records a
+//! batch answers: a wrong count costs coalescing, never a record.
 //!
 //! The batcher owns the query RNG: masks are drawn under its lock in
 //! batch order, so a server's answer stream is a deterministic function
@@ -15,8 +26,8 @@
 //! SQL queries.
 //!
 //! A sweep that panics (a lost `tdf-par` worker, for one) fails only its
-//! own batch: every fetch in it gets a [`SweepFailed`], the leader goes
-//! on draining, and the next batch is answered as usual.
+//! own batch: every fetch in it gets a [`SweepFailed`], the leader
+//! still hands on its role, and the next batch is answered as usual.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
@@ -41,37 +52,43 @@ impl std::error::Error for SweepFailed {}
 
 type Answer = Result<Vec<u8>, SweepFailed>;
 
-/// One waiting request's result slot.
+/// What wakes a waiting request: its answer, or the leader role.
+enum Turn {
+    Answered(Answer),
+    Lead,
+}
+
+/// One waiting request's wake-up slot.
 struct Slot {
-    result: Mutex<Option<Answer>>,
+    turn: Mutex<Option<Turn>>,
     ready: Condvar,
 }
 
 impl Slot {
     fn new() -> Self {
         Self {
-            result: Mutex::new(None),
+            turn: Mutex::new(None),
             ready: Condvar::new(),
         }
     }
 
-    fn fill(&self, answer: Answer) {
+    fn fill(&self, turn: Turn) {
         let mut r = self
-            .result
+            .turn
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *r = Some(answer);
+        *r = Some(turn);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Answer {
+    fn wait(&self) -> Turn {
         let mut r = self
-            .result
+            .turn
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         loop {
-            if let Some(answer) = r.take() {
-                return answer;
+            if let Some(turn) = r.take() {
+                return turn;
             }
             r = self
                 .ready
@@ -88,8 +105,34 @@ struct Pending {
 
 struct State {
     pending: Vec<Pending>,
-    /// True while a leader is sweeping; followers enqueue and wait.
+    /// True while a request leads (or has been handed the lead);
+    /// followers enqueue and wait.
     sweeping: bool,
+    /// Connections server workers hold (`PirBatcher::hold_connection`).
+    connections: usize,
+}
+
+impl State {
+    /// True when no further fetch can join the leader's window: the
+    /// batch is full, or every held connection has its fetch pending.
+    fn window_closed(&self, max_batch: usize) -> bool {
+        let pending = self.pending.len();
+        pending >= max_batch || (self.connections > 0 && pending >= self.connections)
+    }
+}
+
+/// One connection a server worker holds, counted by its batcher until
+/// the guard drops.
+pub(crate) struct HeldConnection<'a> {
+    batcher: &'a PirBatcher,
+}
+
+impl Drop for HeldConnection<'_> {
+    fn drop(&mut self) {
+        self.batcher.lock_state().connections -= 1;
+        // A leader waiting on this connection's fetch may now close.
+        self.batcher.arrivals.notify_all();
+    }
 }
 
 /// Coalesces concurrent PIR fetches into fused batch sweeps.
@@ -109,12 +152,28 @@ impl PirBatcher {
             state: Mutex::new(State {
                 pending: Vec::new(),
                 sweeping: false,
+                connections: 0,
             }),
             arrivals: Condvar::new(),
             window: Duration::from_millis(window_ms),
             max_batch: max_batch.max(1),
             rng: Mutex::new(rngkit::rngs::StdRng::seed_from_u64(seed ^ 0x9172)),
         }
+    }
+
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Counts one connection that a worker holds, until the guard drops.
+    /// Take it around everything the connection may fetch: the leader's
+    /// window closes as soon as every counted connection has a fetch
+    /// pending.
+    pub(crate) fn hold_connection(&self) -> HeldConnection<'_> {
+        self.lock_state().connections += 1;
+        HeldConnection { batcher: self }
     }
 
     /// [`Self::try_fetch`] for callers with no error path: panics with
@@ -128,25 +187,25 @@ impl PirBatcher {
     /// already be range-checked against `db`.
     pub fn try_fetch(&self, db: &Database, index: usize) -> Result<Vec<u8>, SweepFailed> {
         let slot = std::sync::Arc::new(Slot::new());
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.lock_state();
         state.pending.push(Pending {
             index,
             slot: std::sync::Arc::clone(&slot),
         });
         self.arrivals.notify_all();
         if state.sweeping {
-            // A leader is active and will drain us before retiring.
+            // A leader is active: it answers us or hands us its role.
             drop(state);
-            return slot.wait();
+            if let Turn::Answered(answer) = slot.wait() {
+                return answer;
+            }
+            state = self.lock_state();
         }
         state.sweeping = true;
         // Leader: hold the admission window open so concurrent fetches
-        // coalesce, unless the batch is already full.
+        // coalesce, until no further fetch can join it.
         let deadline = Instant::now() + self.window;
-        while state.pending.len() < self.max_batch {
+        while !state.window_closed(self.max_batch) {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -160,63 +219,60 @@ impl PirBatcher {
                 break;
             }
         }
-        // Drain until the queue is empty — including requests that
-        // arrived while we were sweeping — then retire the leader role.
-        loop {
-            let batch = std::mem::take(&mut state.pending);
-            if batch.is_empty() {
-                state.sweeping = false;
-                break;
-            }
-            drop(state);
-            self.sweep(db, &batch);
-            state = self
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Our own request heads the queue, so it is in this batch.
+        let take = state.pending.len().min(self.max_batch);
+        let batch: Vec<Pending> = state.pending.drain(..take).collect();
+        drop(state);
+        self.sweep(db, &batch);
+        // Retire: the oldest request that arrived meanwhile leads next
+        // and opens its own window, so our answer waits for no one.
+        let mut state = self.lock_state();
+        match state.pending.first() {
+            Some(next) => next.slot.fill(Turn::Lead),
+            None => state.sweeping = false,
         }
         drop(state);
-        // Our own slot was in the first batch this leader swept.
-        slot.wait()
+        match slot.wait() {
+            Turn::Answered(answer) => answer,
+            Turn::Lead => unreachable!("a leader's own request is in the batch it swept"),
+        }
     }
 
-    /// Answers one drained batch with a fused sweep (at most `max_batch`
-    /// lanes per sweep, so a burst cannot build an unbounded mask set).
-    /// A sweep that panics fails every fetch of its chunk and nothing
-    /// else: the panic stops here, so the leader keeps draining.
+    /// Answers one batch (at most `max_batch` requests, so a burst
+    /// cannot build an unbounded mask set) with a fused sweep. A sweep
+    /// that panics fails every fetch of its batch and nothing else: the
+    /// panic stops here, so the leader still hands on its role.
     fn sweep(&self, db: &Database, batch: &[Pending]) {
-        for chunk in batch.chunks(self.max_batch) {
-            obs::count("serve.pir.batches", 1);
-            obs::gauge_max("serve.pir.batch_max", chunk.len() as u64);
-            let indices: Vec<usize> = chunk.iter().map(|p| p.index).collect();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut rng = self
-                    .rng
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                tdf_pir::batch::retrieve_batch(&mut *rng, db, &indices)
-            }));
-            match outcome {
-                Ok(outcome) => {
-                    if outcome.degraded {
-                        obs::count("serve.pir.degraded_batches", 1);
-                    }
-                    for (p, record) in chunk.iter().zip(outcome.records) {
-                        p.slot.fill(Ok(record));
-                    }
+        obs::count("serve.pir.batches", 1);
+        obs::gauge_max("serve.pir.batch_max", batch.len() as u64);
+        let indices: Vec<usize> = batch.iter().map(|p| p.index).collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut rng = self
+                .rng
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            tdf_pir::batch::retrieve_batch(&mut *rng, db, &indices)
+        }));
+        match outcome {
+            Ok(outcome) => {
+                if outcome.degraded {
+                    obs::count("serve.pir.degraded_batches", 1);
                 }
-                Err(payload) => {
-                    obs::count("serve.pir.failed_batches", 1);
-                    let failed = SweepFailed {
-                        message: payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_owned()),
-                    };
-                    for p in chunk {
-                        p.slot.fill(Err(failed.clone()));
-                    }
+                for (p, record) in batch.iter().zip(outcome.records) {
+                    p.slot.fill(Turn::Answered(Ok(record)));
+                }
+            }
+            Err(payload) => {
+                obs::count("serve.pir.failed_batches", 1);
+                let failed = SweepFailed {
+                    message: payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_owned()),
+                };
+                for p in batch {
+                    p.slot.fill(Turn::Answered(Err(failed.clone())));
                 }
             }
         }
@@ -279,6 +335,79 @@ mod tests {
             widest >= 2,
             "16 simultaneous fetches through a 150 ms window must coalesce, widest batch was {widest}"
         );
+    }
+
+    /// Fetches `index` on a helper thread; the receiver yields its
+    /// record and how long the fetch took.
+    fn fetch_on_thread(
+        db: &Arc<Database>,
+        batcher: &Arc<PirBatcher>,
+        index: usize,
+    ) -> std::sync::mpsc::Receiver<(Vec<u8>, Duration)> {
+        let (db, batcher) = (Arc::clone(db), Arc::clone(batcher));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let start = Instant::now();
+            let record = batcher.fetch(&db, index);
+            let _ = tx.send((record, start.elapsed()));
+        });
+        rx
+    }
+
+    #[test]
+    fn a_lone_held_connection_does_not_wait_out_the_window() {
+        let db = db(500);
+        let batcher = PirBatcher::new(4, 10_000, 64);
+        let _held = batcher.hold_connection();
+        let start = Instant::now();
+        assert_eq!(batcher.fetch(&db, 42), db.record(42).to_vec());
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn the_window_closes_when_every_held_connection_is_pending() {
+        let db = Arc::new(db(500));
+        let batcher = Arc::new(PirBatcher::new(5, 10_000, 64));
+        let _held = [batcher.hold_connection(), batcher.hold_connection()];
+        let first = fetch_on_thread(&db, &batcher, 7);
+        // The first fetch leads and waits for the second connection's.
+        while batcher.lock_state().pending.is_empty() {
+            std::thread::yield_now();
+        }
+        let second = fetch_on_thread(&db, &batcher, 300);
+        for (rx, index) in [(first, 7), (second, 300)] {
+            let (record, took) = rx
+                .recv_timeout(Duration::from_secs(1))
+                .expect("both fetches are answered without waiting out the window");
+            assert_eq!(record, db.record(index).to_vec());
+            assert!(took < Duration::from_secs(1), "fetch took {took:?}");
+        }
+    }
+
+    #[test]
+    fn a_released_connection_frees_the_waiting_leader() {
+        let db = Arc::new(db(500));
+        let batcher = Arc::new(PirBatcher::new(6, 10_000, 64));
+        let held = batcher.hold_connection();
+        let other = batcher.hold_connection();
+        let rx = fetch_on_thread(&db, &batcher, 99);
+        while batcher.lock_state().pending.is_empty() {
+            std::thread::yield_now();
+        }
+        // The leader waits for `other`'s fetch; closing `other` instead
+        // leaves nothing more to wait for.
+        drop(other);
+        let (record, took) = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the released connection ends the window");
+        assert_eq!(record, db.record(99).to_vec());
+        assert!(took < Duration::from_secs(1), "fetch took {took:?}");
+        drop(held);
+        assert_eq!(batcher.lock_state().connections, 0);
     }
 
     #[test]

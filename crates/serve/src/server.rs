@@ -40,7 +40,9 @@
 //! `PIR_FETCH` requests from any number of connections funnel through a
 //! [`crate::batch::PirBatcher`], which coalesces whatever is pending
 //! into one fused multi-lane sweep per admission window (see
-//! `tdf_pir::batch`).
+//! `tdf_pir::batch`). Each worker counts the connection it serves with
+//! the batcher, so a window closes as soon as every served connection
+//! has a fetch pending instead of waiting out `pir_batch_window_ms`.
 
 use crate::batch::PirBatcher;
 use crate::protocol::{
@@ -83,10 +85,13 @@ pub struct ServerConfig {
     pub pir_records: usize,
     /// Bytes per PIR record.
     pub pir_record_size: usize,
-    /// Batch-admission window in milliseconds: how long the first
+    /// Batch-admission window in milliseconds: the longest the first
     /// pending PIR fetch waits for others to coalesce before sweeping.
+    /// The window closes earlier once every connection a worker serves
+    /// has a fetch pending, or `pir_batch_max` fetches are.
     pub pir_batch_window_ms: u64,
-    /// Maximum lanes per fused sweep.
+    /// Maximum fetches per fused sweep (two lanes each, one per
+    /// replica).
     pub pir_batch_max: usize,
     /// Row floor for background segment compaction: after each SEAL, a
     /// compactor thread merges runs of adjacent sealed segments smaller
@@ -443,9 +448,14 @@ fn worker_loop(shared: &Shared) {
             }
             lock(&shared.conns).insert(conn_id, clone);
         }
-        // Connection errors (disconnects, malformed frames, injected
-        // severs) end that connection only; the worker lives on.
-        let _ = serve_connection(stream, shared);
+        {
+            // While this worker holds the connection, the PIR batcher
+            // counts it as one more fetch that may join a window.
+            let _held = shared.batcher.hold_connection();
+            // Connection errors (disconnects, malformed frames, injected
+            // severs) end that connection only; the worker lives on.
+            let _ = serve_connection(stream, shared);
+        }
         lock(&shared.conns).remove(&conn_id);
     }
 }

@@ -323,6 +323,100 @@ fn concurrent_pir_fetches_coalesce_into_fused_sweeps() {
     );
 }
 
+/// A server whose PIR window (10 s) would fail any test that waits it
+/// out, with two connections that workers already hold: each has
+/// answered a query, so each is counted by the batcher.
+fn two_held_connections() -> (Server, [Client; 2]) {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        pir_batch_window_ms: 10_000,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let clients = [0, 1].map(|user| {
+        let mut client = Client::connect(server.addr()).expect("connect");
+        client.query(user, SQL).expect("round trip");
+        client
+    });
+    (server, clients)
+}
+
+fn expect_record(response: Response, index: u64) {
+    assert_eq!(
+        response,
+        Response::Record(tdf_serve::pir_record(0x7DF, 32, index as usize))
+    );
+}
+
+#[test]
+fn the_pir_window_closes_once_every_connection_has_a_fetch_pending() {
+    let _serial = serial();
+    let before = obs::level();
+    obs::set_level(1);
+    obs::reset();
+    let (server, clients) = two_held_connections();
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let handles: Vec<_> = clients
+        .into_iter()
+        .zip([11u64, 2222])
+        .map(|(mut client, index)| {
+            let barrier = std::sync::Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let start = std::time::Instant::now();
+                let response = client.pir_fetch(0, index).expect("round trip");
+                let took = start.elapsed();
+                let _ = client.bye(0);
+                (index, response, took)
+            })
+        })
+        .collect();
+    for h in handles {
+        let (index, response, took) = h.join().expect("fetch thread");
+        expect_record(response, index);
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "fetch took {took:?}"
+        );
+    }
+    server.shutdown();
+    let snap = obs::snapshot();
+    let (batches, widest) = (
+        snap.counter("serve.pir.batches"),
+        snap.gauge("serve.pir.batch_max"),
+    );
+    obs::set_level(before);
+    assert_eq!((batches, widest), (1, 2), "both fetches share one sweep");
+}
+
+#[test]
+fn a_closing_connection_releases_the_waiting_pir_leader() {
+    let _serial = serial();
+    let before = obs::level();
+    obs::set_level(1);
+    obs::reset();
+    let (server, [mut fetching, closing]) = two_held_connections();
+    let fetch = std::thread::spawn(move || {
+        let start = std::time::Instant::now();
+        let response = fetching.pir_fetch(0, 77).expect("round trip");
+        (response, start.elapsed())
+    });
+    // Once the fetch is admitted its worker leads the window and waits
+    // for the other connection, which closes instead.
+    while obs::snapshot().counter("serve.pir.requests") == 0 {
+        std::thread::yield_now();
+    }
+    drop(closing);
+    let (response, took) = fetch.join().expect("fetch thread");
+    obs::set_level(before);
+    expect_record(response, 77);
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "fetch took {took:?}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn slow_clients_are_evicted_at_the_read_deadline() {
     let _serial = serial();

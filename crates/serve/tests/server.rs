@@ -141,6 +141,35 @@ fn pir_fetch_round_trips_the_exact_record() {
     server.shutdown();
 }
 
+/// The admission window is an upper bound: a lone connection's fetch
+/// cannot be joined by any other, so it is swept at once instead of
+/// after the 10 s window.
+#[test]
+fn a_lone_connection_is_not_held_for_the_admission_window() {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        pir_batch_window_ms: 10_000,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for index in [17u64, 4000] {
+        let start = std::time::Instant::now();
+        let response = client.pir_fetch(3, index).expect("round trip");
+        let took = start.elapsed();
+        assert_eq!(
+            response,
+            Response::Record(tdf_serve::pir_record(0x7DF, 32, index as usize))
+        );
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "fetch took {took:?}"
+        );
+    }
+    let _ = client.bye(3);
+    server.shutdown();
+}
+
 #[test]
 fn pir_fetch_out_of_range_is_a_typed_error() {
     let server = server(2, 10.0);
