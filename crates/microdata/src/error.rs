@@ -101,9 +101,9 @@ mod tests {
             (Error::EmptyDataset, "non-empty"),
             (Error::NotNumeric("aids".into()), "aids"),
             (
-                Error::Csv {
+                Error::Tsv {
                     line: 7,
-                    message: "bad quote".into(),
+                    message: "bad escape".into(),
                 },
                 "line 7",
             ),

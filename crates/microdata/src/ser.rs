@@ -742,11 +742,42 @@ mod tests {
         let mut d = Dataset::new(schema);
         d.push_row(vec![Value::Str("a\tb\\c\nd".into())]).unwrap();
         d.push_row(vec![Value::Missing]).unwrap();
-        d.push_row(vec![Value::Str("\\N".into())]).unwrap_or(());
+        d.push_row(vec![Value::Str("\\N".into())]).unwrap();
         let text = dataset_to_tsv(&d);
         let back = dataset_from_tsv(&text).unwrap();
         assert_eq!(back.value(0, 0), Value::Str("a\tb\\c\nd".into()));
         assert!(back.value(1, 0).is_missing());
+        // The literal string `\N` is escaped, so it is not read back as
+        // the missing-cell marker.
+        assert_eq!(back.value(2, 0), Value::Str("\\N".into()));
+    }
+
+    #[test]
+    fn tsv_round_trips_awkward_cells() {
+        let schema = Schema::new(vec![
+            AttributeDef::new(
+                "note",
+                AttributeKind::Nominal,
+                AttributeRole::NonConfidential,
+            ),
+            AttributeDef::new("x", AttributeKind::Continuous, AttributeRole::Confidential),
+        ])
+        .unwrap();
+        let mut d = Dataset::new(schema);
+        d.push_row(vec![
+            Value::Str("tab\t\"quote\"\nline".into()),
+            Value::Float(f64::NAN),
+        ])
+        .unwrap();
+        d.push_row(vec![Value::Missing, Value::Float(f64::NEG_INFINITY)])
+            .unwrap();
+        d.push_row(vec![Value::Str("\\N".into()), Value::Float(-0.0)])
+            .unwrap();
+        // Dataset equality compares float cells bit for bit, so this also
+        // pins the NaN payload and the sign of the zero.
+        let back = dataset_from_tsv(&dataset_to_tsv(&d)).unwrap();
+        assert_eq!(d, back);
+        assert_eq!(back.value(2, 0), Value::Str("\\N".into()));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use dbpriv::anonymity::{is_k_anonymous, mondrian_anonymize, suppress_to_k_anonymity};
 use dbpriv::microdata::csv::{from_csv, to_csv};
 use dbpriv::microdata::rng::seeded;
+use dbpriv::microdata::ser::{dataset_from_tsv, dataset_to_tsv};
 use dbpriv::microdata::synth::{patients, PatientConfig};
 use dbpriv::ppdm::condensation::condense;
 use dbpriv::querydb::control::ControlPolicy;
@@ -47,6 +48,16 @@ fn masked_releases_survive_csv_round_trips() {
     let masked = mdav_microaggregate(&data, &qi, 4).unwrap().data;
     let text = to_csv(&masked);
     let back = from_csv(masked.schema().clone(), &text).unwrap();
+    assert_eq!(masked, back);
+    assert!(is_k_anonymous(&back, 4));
+}
+
+#[test]
+fn masked_releases_survive_tsv_round_trips() {
+    let data = population(60);
+    let qi = data.schema().quasi_identifier_indices();
+    let masked = mdav_microaggregate(&data, &qi, 4).unwrap().data;
+    let back = dataset_from_tsv(&dataset_to_tsv(&masked)).unwrap();
     assert_eq!(masked, back);
     assert!(is_k_anonymous(&back, 4));
 }
