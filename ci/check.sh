@@ -68,7 +68,7 @@ echo "ok"
 
 step "row-materializer budget (columnar storage must stay hot)"
 # `Dataset::row` / `Dataset::rows` are the compatibility shim over the
-# columnar store — fine for CSV/TSV ser, generators and report glue,
+# columnar store — fine for TSV ser, generators and report glue,
 # banned from growing back into kernels. The budget is the audited
 # call-site count at the time of the columnar refactor; if you need a
 # new site, prefer a ColumnView / typed-cells accessor, or consciously
@@ -78,7 +78,9 @@ step "row-materializer budget (columnar storage must stay hot)"
 # the tail path; no kernel code materializes rows.
 # 30 -> 24: the ast.rs predicate tests now run through the one evaluator
 # (engine.rs), so their six `d.row(i)` sites are gone.
-ROW_BUDGET=24
+# 24 -> 22: the JSON and CSV dataset codecs are deleted (TSV is the one
+# text codec), taking the `ser.rs` JSON writer's and `csv.rs`'s sites.
+ROW_BUDGET=22
 row_sites=$(grep -rn '\.rows()\|\.row(' crates/*/src --include='*.rs' \
   | grep -v 'crates/microdata/src/dataset.rs' | grep -cv '^[[:space:]]*//' || true)
 if [[ "$row_sites" -gt "$ROW_BUDGET" ]]; then
@@ -198,12 +200,11 @@ if [[ "$QUICK" -eq 0 ]]; then
   # to the workspace root, never crates/bench/ — bench binaries run with
   # the package directory as cwd; crates/bench/src/harness.rs).
   TDF_BENCH_SAMPLES=3 TDF_BENCH_SAMPLE_MS=2 TDF_BENCH_WARMUP_MS=5 \
-    TDF_SERVE_CLIENTS=2 TDF_SERVE_USERS=100 TDF_SERVE_REQS=25 TDF_SERVE_ROWS=300 \
     TDF_PIR_SCALE_QUICK=1 TDF_PIR_SCALE_SAMPLES=2 \
     TDF_DISGUISE_ROWS=200 TDF_DISGUISE_USERS=4 \
     TDF_RESULTS_DIR="$ARTIFACTS" \
     "$CARGO" bench --offline -p tdf-bench >/dev/null
-  for suite in substrates ablations experiments par columnar obs faults serve \
+  for suite in substrates ablations experiments par columnar obs faults \
                pir_scale segments disguise; do
     json="$ARTIFACTS/BENCH_${suite}.json"
     [[ -s "$json" ]] || { echo "missing $json" >&2; exit 1; }
@@ -212,15 +213,9 @@ if [[ "$QUICK" -eq 0 ]]; then
     done
   done
   # The obs suite runs each workload at TDF_OBS=1/2 through bench_with_obs,
-  # which embeds the counter snapshot alongside the timings; the serve
-  # suite embeds the load generator's run-level aggregates (including the
-  # keep-alive ratio) the same way.
+  # which embeds the counter snapshot alongside the timings.
   grep -q '"counters"' "$ARTIFACTS/BENCH_obs.json" \
     || { echo "BENCH_obs.json lacks embedded counters" >&2; exit 1; }
-  grep -q '"throughput_rps"' "$ARTIFACTS/BENCH_serve.json" \
-    || { echo "BENCH_serve.json lacks throughput counters" >&2; exit 1; }
-  grep -q '"reqs_per_conn_x100"' "$ARTIFACTS/BENCH_serve.json" \
-    || { echo "BENCH_serve.json lacks keep-alive counters" >&2; exit 1; }
   # The segments suite embeds the delta-epoch, compaction and parallel-
   # publication series; keep the artefact so perf PRs can diff
   # republication economics against the run before theirs (the workflow

@@ -19,99 +19,13 @@
 use rngkit::Rng;
 use std::sync::Arc;
 use std::sync::RwLock;
-use tdf_microdata::{AttributeKind, Dataset, Error, Result, Value};
+use tdf_microdata::pircodec::{decode_record, encode_records};
+use tdf_microdata::{Dataset, Result, Value};
 use tdf_pir::cost::CostReport;
 use tdf_pir::store::Database;
 use tdf_querydb::ast::Query;
 use tdf_querydb::engine::{check_query, evaluate_with_limits, QueryLimits};
 use tdf_sdc::microaggregation::mdav_microaggregate;
-
-/// Serializes a dataset's rows into fixed-size PIR records: numeric cells
-/// as big-endian `f64` bits, booleans as one byte, missing as NaN/0xFF.
-/// Categorical strings are not supported in the PIR store (mask before
-/// loading, or recode categories to integers).
-pub fn encode_records(data: &Dataset) -> Result<Vec<Vec<u8>>> {
-    // Per-column readers hoisted once; records are then serialized straight
-    // from the typed column storage without materializing any `Value`.
-    enum Reader<'a> {
-        Bool(&'a tdf_microdata::BoolCol),
-        Num(tdf_microdata::F64Cells<'a>),
-        Cat(usize),
-    }
-    let readers: Vec<Reader> = (0..data.num_columns())
-        .map(|c| match data.schema().attribute(c).kind {
-            AttributeKind::Boolean => match data.col(c) {
-                tdf_microdata::ColumnView::Bool(b) => Reader::Bool(b),
-                _ => unreachable!("Boolean attributes use packed bool storage"),
-            },
-            AttributeKind::Continuous | AttributeKind::Integer => {
-                Reader::Num(data.f64_cells(c).expect("numeric column"))
-            }
-            AttributeKind::Nominal | AttributeKind::Ordinal => Reader::Cat(c),
-        })
-        .collect();
-    let mut out = Vec::with_capacity(data.num_rows());
-    for i in 0..data.num_rows() {
-        let mut rec = Vec::new();
-        for reader in &readers {
-            match reader {
-                Reader::Bool(b) => rec.push(b.opt(i).map_or(0xFF, u8::from)),
-                Reader::Num(cells) => {
-                    let x = cells.get(i).unwrap_or(f64::NAN);
-                    rec.extend_from_slice(&x.to_be_bytes());
-                }
-                Reader::Cat(c) => {
-                    return Err(Error::InvalidParameter(format!(
-                        "categorical attribute `{}` cannot be PIR-encoded",
-                        data.schema().attribute(*c).name
-                    )))
-                }
-            }
-        }
-        out.push(rec);
-    }
-    Ok(out)
-}
-
-/// Decodes one PIR record back into a row of `schema`-shaped values.
-pub fn decode_record(data_schema: &tdf_microdata::Schema, rec: &[u8]) -> Result<Vec<Value>> {
-    let mut row = Vec::with_capacity(data_schema.len());
-    let mut pos = 0usize;
-    for attr in data_schema.attributes() {
-        match attr.kind {
-            AttributeKind::Boolean => {
-                let b = *rec.get(pos).ok_or(Error::EmptyDataset)?;
-                row.push(match b {
-                    0 => Value::Bool(false),
-                    1 => Value::Bool(true),
-                    _ => Value::Missing,
-                });
-                pos += 1;
-            }
-            AttributeKind::Continuous | AttributeKind::Integer => {
-                let bytes: [u8; 8] = rec
-                    .get(pos..pos + 8)
-                    .ok_or(Error::EmptyDataset)?
-                    .try_into()
-                    .expect("slice of length 8");
-                let x = f64::from_be_bytes(bytes);
-                row.push(if x.is_nan() {
-                    Value::Missing
-                } else {
-                    Value::Float(x)
-                });
-                pos += 8;
-            }
-            _ => {
-                return Err(Error::InvalidParameter(format!(
-                    "categorical attribute `{}` cannot be PIR-decoded",
-                    attr.name
-                )))
-            }
-        }
-    }
-    Ok(row)
-}
 
 /// How much of each dimension a deployment enables (for the F1 sweep).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,38 +151,9 @@ impl ThreeDimensionalDb {
 mod tests {
     use super::*;
     use tdf_anonymity::is_k_anonymous;
-    use tdf_microdata::patients;
     use tdf_microdata::rng::seeded;
+    use tdf_microdata::{patients, Error};
     use tdf_querydb::parser::parse;
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let d = patients::dataset2();
-        let recs = encode_records(&d).unwrap();
-        assert_eq!(recs.len(), 10);
-        assert_eq!(recs[0].len(), 8 * 3 + 1);
-        for (i, rec) in recs.iter().enumerate() {
-            let row = decode_record(d.schema(), rec).unwrap();
-            assert_eq!(row, d.row(i), "row {i}");
-        }
-    }
-
-    #[test]
-    fn missing_cells_survive_encoding() {
-        let mut d = patients::dataset1();
-        d.set_value(0, 0, Value::Missing).unwrap();
-        d.set_value(0, 3, Value::Missing).unwrap();
-        let recs = encode_records(&d).unwrap();
-        let row = decode_record(d.schema(), &recs[0]).unwrap();
-        assert!(row[0].is_missing());
-        assert!(row[3].is_missing());
-    }
-
-    #[test]
-    fn categorical_data_is_rejected() {
-        let d = tdf_microdata::synth::census(5, 1);
-        assert!(encode_records(&d).is_err());
-    }
 
     #[test]
     fn deployment_masks_and_serves() {

@@ -24,12 +24,11 @@ pub enum Error {
     EmptyDataset,
     /// A numeric operation was requested on a non-numeric attribute.
     NotNumeric(String),
-    /// CSV text could not be parsed.
-    Csv { line: usize, message: String },
     /// TSV text could not be parsed. `line` is 1-based over the whole
     /// input (schema and header lines included).
     Tsv { line: usize, message: String },
-    /// Serialised text (JSON) could not be parsed.
+    /// A binary image could not be decoded: a spilled segment image
+    /// ([`crate::segio`]) or a PIR record ([`crate::pircodec`]).
     Serial(String),
     /// A parameter was outside its valid domain.
     InvalidParameter(String),
@@ -63,7 +62,6 @@ impl fmt::Display for Error {
             Error::SchemaMismatch => write!(f, "datasets do not share a schema"),
             Error::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
             Error::NotNumeric(name) => write!(f, "attribute `{name}` is not numeric"),
-            Error::Csv { line, message } => write!(f, "CSV parse error at line {line}: {message}"),
             Error::Tsv { line, message } => write!(f, "TSV parse error at line {line}: {message}"),
             Error::Serial(message) => write!(f, "serialisation error: {message}"),
             Error::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),

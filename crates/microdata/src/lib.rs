@@ -16,8 +16,9 @@
 //!   AIDS status);
 //! * **non-confidential** — everything else.
 //!
-//! The crate provides typed values, schemas, datasets, CSV/TSV/JSON I/O
-//! (all hand-rolled — the workspace builds with zero external crates),
+//! The crate provides typed values, schemas, datasets, TSV text I/O and
+//! binary codecs for spilled segments and PIR records (all hand-rolled —
+//! the workspace builds with zero external crates),
 //! summary statistics, record distances, deterministic random sampling, the
 //! synthetic populations used by every experiment in this repository, and
 //! faithful reconstructions of the paper's Table 1 toy datasets.
@@ -32,11 +33,11 @@
 pub mod attribute;
 pub mod bitmap;
 pub mod column;
-pub mod csv;
 pub mod dataset;
 pub mod distance;
 pub mod error;
 pub mod patients;
+pub mod pircodec;
 pub mod rng;
 pub mod sampling;
 pub mod schema;

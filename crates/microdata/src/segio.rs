@@ -1,7 +1,7 @@
 //! Hermetic binary codec for sealed segments (the spill format).
 //!
-//! Sits next to the hand-rolled TSV/JSON codecs in [`crate::ser`], but
-//! writes the *columnar* buffers directly — `f64`/`i64` payloads, packed
+//! Sits next to the hand-rolled TSV codec in [`crate::ser`], but writes
+//! the *columnar* buffers directly — `f64`/`i64` payloads, packed
 //! bitmap words, dictionary pools and `u32` codes — so a spill/reload
 //! round-trip is bit-exact (float cells keep their bits, dictionary order
 //! and codes are preserved, missing bitmaps survive verbatim).

@@ -1,29 +1,22 @@
-//! Hand-rolled, self-describing dataset serialisation (JSON and TSV).
+//! Hand-rolled, self-describing dataset serialisation (TSV).
 //!
 //! The workspace is hermetic — `serde` is banned along with every other
-//! registry dependency — so the two interchange formats the toolkit
-//! needs are implemented directly here:
+//! registry dependency — so the one text interchange format the toolkit
+//! needs is implemented directly here: a `#schema` header line
+//! (`name:kind:role` per column), a column-name line, then one escaped
+//! record per line. `\N` encodes a missing cell (the classic dump
+//! convention), and tab / newline / backslash are escaped so arbitrary
+//! strings survive. (The binary codecs are [`crate::segio`] for sealed
+//! segments and [`crate::pircodec`] for PIR records.)
 //!
-//! * **JSON**: a self-describing document carrying the schema (name,
-//!   kind, role per attribute) and the rows. Cells are tagged so the
-//!   exact [`Value`] variant round-trips: `{"i":3}` for `Int`,
-//!   `{"f":1.5}` for `Float` (non-finite floats encode as strings),
-//!   `{"s":"…"}` for `Str`, `true`/`false` for `Bool`, `null` for
-//!   `Missing`.
-//! * **TSV**: a `#schema` header line (`name:kind:role` per column),
-//!   a column-name line, then one escaped record per line. `\N` encodes
-//!   a missing cell (the classic dump convention), and tab / newline /
-//!   backslash are escaped so arbitrary strings survive.
-//!
-//! Both directions validate against the embedded schema, so a parsed
-//! dataset is as well-formed as one built through [`Dataset::push_row`].
+//! Parsing validates against the embedded schema, so a parsed dataset is
+//! as well-formed as one built through [`Dataset::push_row`].
 
 use crate::attribute::{AttributeDef, AttributeKind, AttributeRole};
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::value::Value;
-use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
 // Schema tag tables
@@ -67,410 +60,6 @@ fn role_from_tag(tag: &str) -> Result<AttributeRole> {
         "non_confidential" => AttributeRole::NonConfidential,
         other => return Err(Error::Serial(format!("unknown attribute role `{other}`"))),
     })
-}
-
-// ---------------------------------------------------------------------------
-// JSON writer
-// ---------------------------------------------------------------------------
-
-/// Escapes `s` as the body of a JSON string literal.
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn json_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Int(i) => {
-            let _ = write!(out, "{{\"i\":{i}}}");
-        }
-        Value::Float(x) if x.is_finite() => {
-            // `{x:?}` prints the shortest representation that round-trips.
-            let _ = write!(out, "{{\"f\":{x:?}}}");
-        }
-        Value::Float(x) => {
-            let tag = if x.is_nan() {
-                "nan"
-            } else if *x > 0.0 {
-                "inf"
-            } else {
-                "-inf"
-            };
-            let _ = write!(out, "{{\"f\":\"{tag}\"}}");
-        }
-        Value::Str(s) => {
-            out.push_str("{\"s\":\"");
-            json_escape(s, out);
-            out.push_str("\"}");
-        }
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Missing => out.push_str("null"),
-    }
-}
-
-/// Serialises a dataset to a self-describing JSON document.
-pub fn dataset_to_json(data: &Dataset) -> String {
-    let mut out = String::from("{\"schema\":[");
-    for (i, a) in data.schema().attributes().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        json_escape(&a.name, &mut out);
-        let _ = write!(
-            out,
-            "\",\"kind\":\"{}\",\"role\":\"{}\"}}",
-            kind_tag(a.kind),
-            role_tag(a.role)
-        );
-    }
-    out.push_str("],\"rows\":[");
-    for (i, row) in data.rows().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, v) in row.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            json_value(v, &mut out);
-        }
-        out.push(']');
-    }
-    out.push_str("]}");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// JSON reader (recursive descent over a minimal document model)
-// ---------------------------------------------------------------------------
-
-/// Minimal JSON document model. Numbers keep their source text so i64
-/// precision survives (`f64` cannot hold every i64).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> Error {
-        Error::Serial(format!("JSON at byte {}: {}", self.pos, message.into()))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_document(mut self) -> Result<Json> {
-        self.skip_ws();
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing garbage"));
-        }
-        Ok(v)
-    }
-
-    fn parse_value(&mut self) -> Result<Json> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Json::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn parse_keyword(&mut self, kw: &str, value: Json) -> Result<Json> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected `{kw}`")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-')
-        {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if text.parse::<f64>().is_err() {
-            return Err(self.err(format!("malformed number `{text}`")));
-        }
-        Ok(Json::Num(text.to_owned()))
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at pos-1.
-                    let rest = &self.bytes[self.pos - 1..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn value_from_json(cell: &Json) -> Result<Value> {
-    Ok(match cell {
-        Json::Null => Value::Missing,
-        Json::Bool(b) => Value::Bool(*b),
-        Json::Obj(_) => {
-            if let Some(i) = cell.get("i") {
-                let Json::Num(text) = i else {
-                    return Err(Error::Serial("\"i\" must be a number".into()));
-                };
-                Value::Int(
-                    text.parse::<i64>()
-                        .map_err(|_| Error::Serial(format!("bad int `{text}`")))?,
-                )
-            } else if let Some(f) = cell.get("f") {
-                match f {
-                    Json::Num(text) => Value::Float(
-                        text.parse::<f64>()
-                            .map_err(|_| Error::Serial(format!("bad float `{text}`")))?,
-                    ),
-                    Json::Str(tag) => Value::Float(match tag.as_str() {
-                        "nan" => f64::NAN,
-                        "inf" => f64::INFINITY,
-                        "-inf" => f64::NEG_INFINITY,
-                        other => return Err(Error::Serial(format!("bad float tag `{other}`"))),
-                    }),
-                    _ => return Err(Error::Serial("\"f\" must be number or tag".into())),
-                }
-            } else if let Some(s) = cell.get("s") {
-                Value::Str(
-                    s.as_str()
-                        .ok_or_else(|| Error::Serial("\"s\" must be a string".into()))?
-                        .to_owned(),
-                )
-            } else {
-                return Err(Error::Serial("cell object needs an i/f/s tag".into()));
-            }
-        }
-        other => {
-            return Err(Error::Serial(format!("unexpected cell {other:?}")));
-        }
-    })
-}
-
-/// Parses a dataset from the JSON produced by [`dataset_to_json`].
-pub fn dataset_from_json(text: &str) -> Result<Dataset> {
-    let doc = JsonParser::new(text).parse_document()?;
-    let schema_json = doc
-        .get("schema")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| Error::Serial("document needs a \"schema\" array".into()))?;
-    let mut attrs = Vec::with_capacity(schema_json.len());
-    for a in schema_json {
-        let name = a
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| Error::Serial("attribute needs a \"name\"".into()))?;
-        let kind = kind_from_tag(
-            a.get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| Error::Serial("attribute needs a \"kind\"".into()))?,
-        )?;
-        let role = role_from_tag(
-            a.get("role")
-                .and_then(Json::as_str)
-                .ok_or_else(|| Error::Serial("attribute needs a \"role\"".into()))?,
-        )?;
-        attrs.push(AttributeDef::new(name, kind, role));
-    }
-    let schema = Schema::new(attrs).map_err(|e| Error::Serial(e.to_string()))?;
-    let rows_json = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| Error::Serial("document needs a \"rows\" array".into()))?;
-    let mut data = Dataset::new(schema);
-    for row_json in rows_json {
-        let cells = row_json
-            .as_arr()
-            .ok_or_else(|| Error::Serial("each row must be an array".into()))?;
-        let row: Vec<Value> = cells.iter().map(value_from_json).collect::<Result<_>>()?;
-        data.push_row(row)
-            .map_err(|e| Error::Serial(e.to_string()))?;
-    }
-    Ok(data)
 }
 
 // ---------------------------------------------------------------------------
@@ -661,60 +250,6 @@ pub fn dataset_from_tsv(text: &str) -> Result<Dataset> {
 mod tests {
     use super::*;
     use crate::synth::{census, patients, PatientConfig};
-
-    #[test]
-    fn json_round_trips_patients() {
-        let d = patients(&PatientConfig {
-            n: 40,
-            ..Default::default()
-        });
-        let text = dataset_to_json(&d);
-        let back = dataset_from_json(&text).unwrap();
-        assert_eq!(d, back);
-        assert_eq!(d.schema(), back.schema());
-    }
-
-    #[test]
-    fn json_round_trips_census_with_strings() {
-        let d = census(30, 5);
-        let back = dataset_from_json(&dataset_to_json(&d)).unwrap();
-        assert_eq!(d, back);
-    }
-
-    #[test]
-    fn json_round_trips_awkward_cells() {
-        let schema = Schema::new(vec![
-            AttributeDef::new(
-                "note",
-                AttributeKind::Nominal,
-                AttributeRole::NonConfidential,
-            ),
-            AttributeDef::new("x", AttributeKind::Continuous, AttributeRole::Confidential),
-        ])
-        .unwrap();
-        let mut d = Dataset::new(schema);
-        d.push_row(vec![
-            Value::Str("tab\t\"quote\"\nline".into()),
-            Value::Float(f64::NAN),
-        ])
-        .unwrap();
-        d.push_row(vec![Value::Missing, Value::Float(f64::NEG_INFINITY)])
-            .unwrap();
-        let back = dataset_from_json(&dataset_to_json(&d)).unwrap();
-        assert_eq!(d, back);
-    }
-
-    #[test]
-    fn json_rejects_malformed_documents() {
-        assert!(dataset_from_json("").is_err());
-        assert!(dataset_from_json("{").is_err());
-        assert!(dataset_from_json("{\"schema\":[],\"rows\":[]} garbage").is_err());
-        assert!(dataset_from_json("{\"rows\":[]}").is_err());
-        assert!(
-            dataset_from_json("{\"schema\":[{\"name\":\"a\",\"kind\":\"alien\",\"role\":\"confidential\"}],\"rows\":[]}")
-                .is_err()
-        );
-    }
 
     #[test]
     fn tsv_round_trips_patients_and_census() {

@@ -21,20 +21,19 @@
 //! * [`server`] — accept loop, connection workers, the background
 //!   segment compactor (`TDF_COMPACT_MIN`), draining shutdown,
 //!   `tdf-obs` metrics;
-//! * [`client`] — a blocking client;
-//! * [`loadgen`] — the closed-loop Zipfian workload driver behind
-//!   `BENCH_serve.json`.
+//! * [`client`] — a blocking client.
+//!
+//! The served paths are benchmarked end to end by `perfbench/`, a cargo
+//! package of its own at the repository root.
 
 pub mod batch;
 pub mod client;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod session;
 
 pub use batch::{PirBatcher, SweepFailed};
 pub use client::Client;
-pub use loadgen::{LoadConfig, LoadReport};
 pub use protocol::{RefusalReason, Request, Response};
 pub use server::{pir_record, Server, ServerConfig};
 pub use session::{SessionConfig, UserSession};

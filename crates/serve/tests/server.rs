@@ -3,7 +3,7 @@
 //! install a fault plan or read obs counters live in `tests/faults.rs`,
 //! a serial binary of their own.
 
-use tdf_serve::{Client, LoadConfig, RefusalReason, Response, Server, ServerConfig, SessionConfig};
+use tdf_serve::{Client, RefusalReason, Response, Server, ServerConfig, SessionConfig};
 
 fn server(workers: usize, budget: f64) -> Server {
     Server::start(ServerConfig {
@@ -253,33 +253,6 @@ fn oversized_append_is_a_typed_error() {
     assert_eq!(client.append(1, 5).unwrap(), Response::Exact(305.0));
     let _ = client.bye(1);
     server.shutdown();
-}
-
-#[test]
-fn loadgen_drives_real_sockets_and_reports_latencies() {
-    let server = server(4, 4.0);
-    let report = tdf_serve::loadgen::run(
-        server.addr(),
-        &LoadConfig {
-            clients: 4,
-            users: 50,
-            requests_per_client: 40,
-            zipf_s: 1.2,
-            seed: 0x10AD,
-        },
-    )
-    .expect("load run");
-    server.shutdown();
-    assert_eq!(report.requests, 160);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.answered + report.refused, 160);
-    // The Zipf head concentrates requests on few users, so 4ε budgets
-    // must produce refusals within 160 requests.
-    assert!(report.refused > 0, "head users must hit their budgets");
-    assert!(report.answered > 0);
-    assert!(report.throughput_rps > 0.0);
-    assert!(report.p50_ns > 0 && report.p50_ns <= report.p95_ns);
-    assert!(report.p95_ns <= report.p99_ns);
 }
 
 #[test]

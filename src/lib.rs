@@ -35,8 +35,7 @@
 //! The interactive statistical database goes online through [`serve`]:
 //! a hermetic TCP server (framed binary protocol over `std::net`)
 //! wrapping [`querydb`]'s admission path — per-user ε-budgets, tracker
-//! detection, deadlines — with typed refusals on the wire and a
-//! closed-loop Zipfian load generator.
+//! detection, deadlines — with typed refusals on the wire.
 //!
 //! Owner-initiated reversibility lives in [`disguise`]: crash-atomic
 //! unsubscribe/resubscribe transactions that re-own a user's rows to

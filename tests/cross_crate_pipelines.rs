@@ -2,7 +2,6 @@
 //! query → attack pipelines that no single crate exercises alone.
 
 use dbpriv::anonymity::{is_k_anonymous, mondrian_anonymize, suppress_to_k_anonymity};
-use dbpriv::microdata::csv::{from_csv, to_csv};
 use dbpriv::microdata::rng::seeded;
 use dbpriv::microdata::ser::{dataset_from_tsv, dataset_to_tsv};
 use dbpriv::microdata::synth::{patients, PatientConfig};
@@ -39,17 +38,6 @@ fn every_anonymizer_reaches_its_target_k() {
         let rate = record_linkage_rate(&data, &condensed, &qi).unwrap();
         assert!(rate < 2.5 / k as f64, "k = {k}: linkage {rate}");
     }
-}
-
-#[test]
-fn masked_releases_survive_csv_round_trips() {
-    let data = population(60);
-    let qi = data.schema().quasi_identifier_indices();
-    let masked = mdav_microaggregate(&data, &qi, 4).unwrap().data;
-    let text = to_csv(&masked);
-    let back = from_csv(masked.schema().clone(), &text).unwrap();
-    assert_eq!(masked, back);
-    assert!(is_k_anonymous(&back, 4));
 }
 
 #[test]

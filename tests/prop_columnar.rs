@@ -4,7 +4,6 @@
 //! materializer, and every seeded kernel at every thread count.
 
 use check::prelude::*;
-use dbpriv::microdata::csv::{from_csv, to_csv};
 use dbpriv::microdata::rng::seeded;
 use dbpriv::microdata::ser::{dataset_from_tsv, dataset_to_tsv};
 use dbpriv::microdata::synth::{census, patients, PatientConfig};
@@ -14,19 +13,9 @@ props! {
     #![cases(24)]
 
     #[test]
-    fn csv_round_trip_preserves_columnar_content(n in 1usize..80, seed in 0u64..50) {
+    fn tsv_round_trip_preserves_columnar_content(n in 1usize..80, seed in 0u64..50) {
         // Mixed Integer / Nominal / Ordinal / Continuous columns: the
         // round trip exercises dictionary re-interning from scratch.
-        let d = census(n, seed);
-        let back = from_csv(d.schema().clone(), &to_csv(&d)).unwrap();
-        prop_assert_eq!(&back, &d);
-        for i in 0..d.num_rows() {
-            prop_assert_eq!(back.row(i), d.row(i));
-        }
-    }
-
-    #[test]
-    fn tsv_round_trip_preserves_columnar_content(n in 1usize..80, seed in 0u64..50) {
         let d = census(n, seed);
         let back = dataset_from_tsv(&dataset_to_tsv(&d)).unwrap();
         prop_assert_eq!(&back, &d);

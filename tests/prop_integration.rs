@@ -99,9 +99,9 @@ props! {
         seed in 0u64..50,
     ) {
         let data = patients(&PatientConfig { n, seed, ..Default::default() });
-        let recs = dbpriv::core::pipeline::encode_records(&data).unwrap();
+        let recs = dbpriv::microdata::pircodec::encode_records(&data).unwrap();
         for (i, rec) in recs.iter().enumerate() {
-            let row = dbpriv::core::pipeline::decode_record(data.schema(), rec).unwrap();
+            let row = dbpriv::microdata::pircodec::decode_record(data.schema(), rec).unwrap();
             prop_assert_eq!(row.as_slice(), data.row(i));
         }
     }
