@@ -6,7 +6,7 @@
 //! p99 / max). The iteration count is auto-calibrated during warmup so a
 //! sample lasts long enough for the clock to resolve even
 //! nanosecond-scale bodies. Suites that measure real per-event latencies
-//! (the serve load generator) feed them in directly via
+//! (the PIR-at-scale suite) feed them in directly via
 //! [`Harness::record_latencies`] instead of the timed-sample loop.
 //!
 //! On [`Harness::finish`] a suite prints an aligned table to stdout and
@@ -177,11 +177,11 @@ impl Harness {
     }
 
     /// Records a summary from externally measured per-event latencies
-    /// (e.g. per-request socket round trips from a load generator),
-    /// bypassing the timed-sample loop: every latency is one sample and
-    /// `iters_per_sample` is 1. `counters` lands in the JSON artefact
-    /// verbatim (sorted by name); use it for run-level aggregates like
-    /// throughput. Empty latency slices are rejected.
+    /// (e.g. one real PIR sweep per sample), bypassing the timed-sample
+    /// loop: every latency is one sample and `iters_per_sample` is 1.
+    /// `counters` lands in the JSON artefact verbatim (sorted by name);
+    /// use it for run-level aggregates such as cost-model counts. Empty
+    /// latency slices are rejected.
     pub fn record_latencies(
         &mut self,
         id: &str,
