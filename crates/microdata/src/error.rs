@@ -27,8 +27,9 @@ pub enum Error {
     /// TSV text could not be parsed. `line` is 1-based over the whole
     /// input (schema and header lines included).
     Tsv { line: usize, message: String },
-    /// A binary image could not be decoded: a spilled segment image
-    /// ([`crate::segio`]) or a PIR record ([`crate::pircodec`]).
+    /// A binary image could not be written, read back or decoded: a
+    /// spilled segment image ([`crate::segio`]) or a PIR record
+    /// ([`crate::pircodec`]).
     Serial(String),
     /// A parameter was outside its valid domain.
     InvalidParameter(String),
